@@ -81,8 +81,6 @@ from .service import (
     QuerySession,
     ServiceMetrics,
     WorkerPool,
-    serve,
-    serve_async,
 )
 
 __version__ = "1.0.0"
@@ -133,8 +131,6 @@ __all__ = [
     "parse_term",
     "plan_cache_key",
     "rectify_program",
-    "serve",
-    "serve_async",
     "split_path",
     "transitive_closure",
 ]

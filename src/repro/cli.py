@@ -985,7 +985,7 @@ def main(
                 print(f"error: cannot record to {args.record}: {exc}", file=out)
                 server.shutdown()
                 return 1
-        from .service.server import install_signal_handlers
+        from .service.protocol import ProtocolCore, install_signal_handlers
 
         install_signal_handlers(server)
         host, port = server.address
@@ -993,9 +993,7 @@ def main(
         # so nothing may print before it.
         print(
             f"repro serving on {host}:{port} "
-            "(verbs: QUERY, PLAN, FACT, RETRACT, SUBSCRIBE, UNSUBSCRIBE, "
-            "STATS, EXPLAIN, TRACE, METRICS, PROFILE, SLOWLOG, REQLOG, "
-            "HEALTH, RECORD; one JSON reply per line)",
+            f"(verbs: {', '.join(ProtocolCore.VERBS)}; one JSON reply per line)",
             file=out,
         )
         if manager is not None:

@@ -3,19 +3,19 @@
 Turns the one-shot library into a compile-once/serve-many system:
 :class:`QuerySession` owns a shared
 :class:`~repro.core.planner.Planner` plus plan and result caches with
-version-counter invalidation; :class:`QueryServer` exposes a session
-over a threaded TCP line protocol (``QUERY``/``PLAN``/``FACT``/
-``STATS``); :class:`AsyncQueryServer` serves the same protocol from a
-``selectors`` event loop and dispatches heavy verbs to a
-:class:`WorkerPool` of forked evaluator processes;
-:class:`ServiceMetrics` aggregates per-query latency, cache hit rates
+version-counter invalidation; :mod:`repro.service.protocol` defines
+the TCP line protocol (``QUERY``/``PLAN``/``FACT``/``STATS``/...)
+once; :class:`QueryServer` serves it from one thread per connection
+and :class:`AsyncQueryServer` from a ``selectors`` event loop that
+dispatches heavy verbs to a :class:`WorkerPool` of forked evaluator
+processes; :class:`ServiceMetrics` aggregates per-query latency, cache hit rates
 and strategy usage.  See ``docs/service.md``.
 """
 
 from .metrics import LatencyStats, ServiceMetrics
 from .session import QueryResult, QuerySession
-from .server import QueryServer, serve
-from .eventloop import AsyncQueryServer, serve_async
+from .server import QueryServer
+from .eventloop import AsyncQueryServer
 from .workers import WorkerPool, fork_available
 
 __all__ = [
@@ -27,6 +27,4 @@ __all__ = [
     "ServiceMetrics",
     "WorkerPool",
     "fork_available",
-    "serve",
-    "serve_async",
 ]

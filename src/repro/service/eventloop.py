@@ -1,10 +1,11 @@
-"""A ``selectors``-based event-loop front end with evaluator workers.
+"""The event-loop transport: one selector loop, evaluator workers.
 
-The threaded server (:mod:`repro.service.server`) spends one OS thread
-per connection — fine for tens of clients, hopeless for thousands of
-mostly-idle subscribers — and evaluates every fixpoint under the GIL.
-:class:`AsyncQueryServer` keeps the same line protocol, envelopes and
-resilience ladder while changing the machinery underneath:
+The threaded transport (:mod:`repro.service.server`) spends one OS
+thread per connection — fine for tens of clients, hopeless for
+thousands of mostly-idle subscribers — and evaluates every fixpoint
+under the GIL.  :class:`AsyncQueryServer` serves the same
+:class:`~repro.service.protocol.ProtocolCore` (verbs, envelopes and
+resilience ladder are defined there, once) over different machinery:
 
 * **One event loop** (``selectors.DefaultSelector``) owns every socket.
   An idle connection costs one registered file descriptor and ~1 KiB of
@@ -26,12 +27,12 @@ resilience ladder while changing the machinery underneath:
   and the platform can fork.  QUERY/PLAN/EXPLAIN/TRACE then evaluate
   on separate cores over copy-on-write database snapshots, refreshed
   whenever the per-relation version counters drift.  Budget blowouts,
-  timeouts, cancellation-on-disconnect and the circuit-breaker ladder
-  behave exactly as in-process; the parity tests pin the envelopes
+  timeouts and cancellation-on-disconnect cross the pipe and surface
+  exactly as in-process; the conformance suite pins the envelopes
   bit-identical.  With ``workers=0`` heavy verbs run in-process on the
   dispatch threads (the GIL-bound fallback, still event-loop fronted).
 
-The AdmissionController and CircuitBreaker sit in the dispatcher —
+Admission and the circuit breaker run on the dispatch thread, so
 requests are shed or degraded before touching a worker.  ``/metrics``
 additionally exports ``repro_workers``, ``repro_worker_queue_depth``
 and ``repro_worker_restarts_total`` via the pool's snapshot provider.
@@ -39,7 +40,6 @@ and ``repro_worker_restarts_total`` via the pool's snapshot provider.
 
 from __future__ import annotations
 
-import json
 import logging
 import selectors
 import socket
@@ -48,12 +48,9 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..datalog.literals import Predicate
-from ..datalog.parser import parse_rule
 from ..engine.counters import Counters
-from ..engine.database import Database, MutationBatch
 from ..observe import (
     RequestRecord,
     current_id,
@@ -61,30 +58,26 @@ from ..observe import (
     get_logger,
     log_event,
     mark_stage,
-    set_active,
-    set_verb,
 )
-from ..resilience import AdmissionController, Budget, BudgetExceeded, CircuitBreaker
-from .server import (
-    HEAVY_VERBS,
+from ..resilience import Budget, BudgetExceeded
+from .protocol import (
     MAX_DRAIN_BYTES,
     MAX_LINE_BYTES,
+    OVERSIZED_WIRE,
     ClientDisconnected,
-    _do_record_verb,
-    _error_envelope,
-    _Subscriptions,
-    http_response,
+    ProtocolCore,
+    _Subscription,
 )
 from .session import QuerySession
 from .workers import (
     ClientGone,
-    RemoteEvaluationError,
     WorkerDied,
     WorkerPool,
+    _serve_one,
     fork_available,
 )
 
-__all__ = ["AsyncQueryServer", "serve_async"]
+__all__ = ["AsyncQueryServer"]
 
 _log = get_logger("eventloop")
 
@@ -145,18 +138,20 @@ class _Connection:
         self.registered_events = 0
 
 
-class AsyncQueryServer:
+class AsyncQueryServer(ProtocolCore):
     """Event-loop server over a shared :class:`QuerySession`.
 
-    Protocol, envelopes, verbs and resilience semantics match
-    :class:`~repro.service.server.QueryServer`; see that module's
-    docstring for the verb table.  Differences are purely operational:
-    ``workers`` forked evaluator processes serve the heavy verbs
-    (``0`` = evaluate in-process), ``dispatch_threads`` bounds
-    concurrent verb handling, ``push_backlog`` caps each connection's
-    outbox, and there is no ``push_timeout`` — a stalled subscriber is
-    detected by backlog growth, not blocked writes.
+    The protocol-level arguments are documented on
+    :class:`~repro.service.protocol.ProtocolCore`.  ``workers`` forked
+    evaluator processes serve the heavy verbs (``0`` = evaluate
+    in-process), ``dispatch_threads`` bounds concurrent verb handling
+    (and, by default, concurrent ``QUERY``\\ s), ``push_backlog`` caps
+    each connection's outbox, and there is no ``push_timeout`` — a
+    stalled subscriber is detected by backlog growth, not blocked
+    writes.
     """
+
+    ORIGIN = "async"
 
     def __init__(
         self,
@@ -177,45 +172,33 @@ class AsyncQueryServer:
         push_backlog: int = 1_048_576,
         kill_grace: float = 1.0,
     ):
-        self.session = session
-        self.timeout = timeout
-        self.max_depth = max_depth
-        self.budget = budget
-        self.retry_after = retry_after
-        self.idle_timeout = idle_timeout
-        self.push_backlog = push_backlog
         if workers is None:
             import os
 
             workers = (os.cpu_count() or 1) if fork_available() else 0
+        if dispatch_threads is None:
+            dispatch_threads = max(8, workers + 4)
+        self.dispatch_threads = dispatch_threads
+        super().__init__(
+            session,
+            timeout=timeout,
+            max_depth=max_depth,
+            budget=budget,
+            max_pending=max_pending,
+            verb_limits=(
+                verb_limits if verb_limits is not None
+                else {"QUERY": dispatch_threads}
+            ),
+            retry_after=retry_after,
+            idle_timeout=idle_timeout,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown,
+            push_backlog=push_backlog,
+        )
         self.pool: Optional[WorkerPool] = None
         if workers > 0 and fork_available():
             self.pool = WorkerPool(session, workers, kill_grace=kill_grace)
             session.metrics.worker_provider = self.pool.snapshot
-        if dispatch_threads is None:
-            dispatch_threads = max(8, workers + 4)
-        self.dispatch_threads = dispatch_threads
-        if max_pending is None:
-            self.admission: Optional[AdmissionController] = None
-        else:
-            self.admission = AdmissionController(
-                max_pending=max_pending,
-                verb_limits=(
-                    verb_limits if verb_limits is not None
-                    else {"QUERY": dispatch_threads}
-                ),
-                retry_after=retry_after,
-            )
-        if breaker_threshold is None:
-            self.breaker: Optional[CircuitBreaker] = None
-        else:
-            self.breaker = CircuitBreaker(
-                threshold=breaker_threshold, cooldown=breaker_cooldown
-            )
-            session.metrics.breaker_provider = self.breaker.snapshot
-        self.subscriptions = _Subscriptions()
-        session.metrics.subscriber_provider = self.subscriptions.count
-
         self._executor = ThreadPoolExecutor(
             max_workers=dispatch_threads, thread_name_prefix="repro-dispatch"
         )
@@ -244,11 +227,6 @@ class AsyncQueryServer:
         #: read lock-free by the metrics provider.
         self._last_cycle_s = 0.0
         session.metrics.eventloop_provider = self._eventloop_snapshot
-        session.database.add_mutation_listener(self._on_mutation)
-
-    @classmethod
-    def for_database(cls, database: Database, **kwargs) -> "AsyncQueryServer":
-        return cls(QuerySession(database), **kwargs)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -277,8 +255,7 @@ class AsyncQueryServer:
         self._stop.set()
         self._wake()
 
-    def shutdown(self) -> None:
-        self.session.database.remove_mutation_listener(self._on_mutation)
+    def _stop_transport(self) -> None:
         self._stop.set()
         self._wake()
         if self._thread is not None:
@@ -289,10 +266,7 @@ class AsyncQueryServer:
         # durable), queued-but-unstarted ones are cancelled — they were
         # never acknowledged, so dropping them loses nothing a client
         # was promised.
-        try:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # Python < 3.9: no cancel_futures
-            self._executor.shutdown(wait=False)
+        self._executor.shutdown(wait=False, cancel_futures=True)
         if self.pool is not None:
             self.pool.close()
         for conn in list(self._conns):
@@ -305,22 +279,6 @@ class AsyncQueryServer:
         self._wake_r.close()
         self._wake_w.close()
         self._selector.close()
-        # Final-snapshot hygiene (mirrors the threaded server): land
-        # the deferred stage-latency samples in the histograms, close
-        # any live capture archive cleanly, and flush + fsync +
-        # checkpoint the durability store.
-        self.session.lifecycle.drain_metrics(self.session.metrics)
-        if self.session.capture.active:
-            self.session.capture.stop()
-        persist = getattr(self.session, "persist", None)
-        if persist is not None:
-            persist.close()
-
-    def __enter__(self) -> "AsyncQueryServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------
     # Event loop (everything here runs on the loop thread)
@@ -530,7 +488,7 @@ class AsyncQueryServer:
             log_event(
                 _log, logging.INFO, "cancel",
                 reason="peer lost",
-                request_id=getattr(budget, "request_id", None),
+                request_id=budget.request_id,
             )
         self._close_conn(conn)
 
@@ -554,7 +512,7 @@ class AsyncQueryServer:
             log_event(
                 _log, logging.INFO, "cancel",
                 reason="client disconnected",
-                request_id=getattr(budget, "request_id", None),
+                request_id=budget.request_id,
             )
         if not has_queued:
             if flushing:
@@ -646,13 +604,6 @@ class AsyncQueryServer:
         for record in orphans:
             self._finalize_record(record, "aborted")
 
-    def _finalize_record(
-        self, record: Optional[RequestRecord], status: str
-    ) -> None:
-        if record is not None:
-            record.finish(status)
-            self.session.lifecycle.commit(record, self.session.metrics)
-
     # ------------------------------------------------------------------
     # Outbound bytes (called from dispatch threads and the loop)
     # ------------------------------------------------------------------
@@ -740,66 +691,22 @@ class AsyncQueryServer:
                 # the request up — FIFO wait plus executor scheduling.
                 record.mark("queue")
             close_after = False
-            capture_line: Optional[str] = None
             if raw in (_OVERSIZED, _OVERSIZED_CLOSE):
-                reply = _error_envelope(
-                    "?", "ProtocolError",
-                    f"request line over {MAX_LINE_BYTES} bytes",
-                )
+                wire = OVERSIZED_WIRE
                 close_after = raw is _OVERSIZED_CLOSE
             elif raw.startswith(b"GET "):
-                if record is not None:
-                    record.verb = "HTTP"
-                    record.detail = raw.decode(
-                        "utf-8", errors="replace"
-                    ).strip()[:200]
-                    record.mark("parse")
-                body = http_response(self.session, raw)
-                if record is not None:
-                    record.mark("eval")
-                    record.mark("serialize")
-                self._send_bytes(conn, body, close_after=True, record=record)
-                return
+                wire = self._respond_http(raw, record)
+                close_after = True
             else:
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     return  # empty keep-alive line: no reply, no record
-                if record is not None:
-                    record.detail = line[:200]
-                    # Guarded at the call site: this fires per request,
-                    # and even a disabled log_event call costs a kwargs
-                    # dict on the serving path.
-                    if _log.isEnabledFor(logging.DEBUG):
-                        log_event(
-                            _log, logging.DEBUG, "dispatch",
-                            request_id=record.id, line=record.detail,
-                        )
-                # set_active over the activate() context manager: this
-                # dispatch thread owns the whole request, and the fast
-                # path skips the per-request manager allocation.
-                if record is not None:
-                    set_active(record)
                 try:
-                    reply = self.handle_line(line, connection=conn)
+                    wire = self._respond(line, record, conn)
                 except ClientDisconnected:
                     self._finalize_record(record, "disconnected")
                     self._request_close(conn)
                     return
-                finally:
-                    if record is not None:
-                        set_active(None)
-                if record is not None:
-                    record.mark("eval")
-                capture_line = line
-            wire = json.dumps(reply).encode("utf-8") + b"\n"
-            if record is not None:
-                record.mark("serialize")
-            if capture_line is not None:
-                # After serialization so the recorder's writer thread
-                # can digest the exact wire bytes without re-dumping.
-                capture = self.session.capture
-                if capture.active:
-                    capture.record(capture_line, reply, record, wire)
             self._send_bytes(conn, wire, close_after=close_after, record=record)
         except Exception:
             # A dispatch crash must never leak the connection's FIFO
@@ -810,83 +717,8 @@ class AsyncQueryServer:
             self._request_done(conn)
 
     # ------------------------------------------------------------------
-    # Verb dispatch
+    # Budgeted evaluation
     # ------------------------------------------------------------------
-    def handle_line(
-        self, line: str, connection: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        """Dispatch one request line to its verb handler.
-
-        Same contract (and same envelopes) as the threaded server's
-        ``handle_line`` — chaos and saturation tests drive this
-        directly.
-        """
-        verb, _, argument = line.partition(" ")
-        verb = verb.upper()
-        argument = argument.strip()
-        set_verb(verb)
-        mark_stage("parse")
-        handler = {
-            "QUERY": self._do_query,
-            "PLAN": self._do_plan,
-            "FACT": self._do_fact,
-            "RETRACT": self._do_retract,
-            "SUBSCRIBE": self._do_subscribe,
-            "UNSUBSCRIBE": self._do_unsubscribe,
-            "STATS": self._do_stats,
-            "EXPLAIN": self._do_explain,
-            "TRACE": self._do_trace,
-            "METRICS": self._do_metrics,
-            "PROFILE": self._do_profile,
-            "SLOWLOG": self._do_slowlog,
-            "REQLOG": self._do_reqlog,
-            "HEALTH": self._do_health,
-            "RECORD": self._do_record,
-        }.get(verb)
-        if handler is None:
-            return _error_envelope(
-                verb, "ProtocolError", f"unknown verb {verb!r}; "
-                "expected QUERY, PLAN, FACT, RETRACT, SUBSCRIBE, "
-                "UNSUBSCRIBE, STATS, EXPLAIN, TRACE, METRICS, PROFILE, "
-                "SLOWLOG, REQLOG, HEALTH or RECORD"
-            )
-        metered = self.admission is not None and verb in HEAVY_VERBS
-        if metered and not self.admission.try_acquire(verb):
-            self.session.metrics.record_rejected(verb)
-            reply = _error_envelope(
-                verb, "Overloaded",
-                "server at capacity; retry after the indicated delay",
-            )
-            reply["retry_after"] = self.retry_after
-            return reply
-        mark_stage("admission")
-        try:
-            return handler(argument, connection)
-        except ClientDisconnected:
-            raise  # nothing to reply to; the connection is closing
-        except FutureTimeoutError:
-            self.session.metrics.record_timeout()
-            return _error_envelope(
-                verb, "Timeout", f"request exceeded {self.timeout}s budget"
-            )
-        except RemoteEvaluationError as exc:
-            self.session.metrics.record_error()
-            return _error_envelope(verb, exc.exc_type, str(exc))
-        except Exception as exc:  # envelope instead of a dead connection
-            self.session.metrics.record_error()
-            return _error_envelope(verb, type(exc).__name__, str(exc))
-        finally:
-            if metered:
-                self.admission.release(verb)
-
-    def _strip(self, argument: str) -> str:
-        if argument.startswith("?-"):
-            argument = argument[2:].strip()
-        if argument.endswith("."):
-            argument = argument[:-1]
-        return argument
-
-    # -- budgets / cancellation ----------------------------------------
     def _budget_limits(self) -> Optional[Dict[str, Any]]:
         """The budget template's limits, as Budget(**kwargs) keys, with
         the server timeout folded in as a belt-and-braces deadline."""
@@ -957,20 +789,6 @@ class AsyncQueryServer:
             # without a budget envelope.
             raise FutureTimeoutError()
 
-    # -- QUERY ----------------------------------------------------------
-    def _record_query_metrics(self, payload: Dict[str, Any]) -> None:
-        counters = (
-            Counters(**payload["counters"]) if payload.get("counters") else None
-        )
-        self.session.metrics.record_query(
-            payload["strategy"],
-            payload["elapsed"],
-            plan_cached=payload["plan_cached"],
-            result_cached=payload["result_cached"],
-            counters=counters,
-        )
-        self.session.metrics.record_verb("QUERY", payload["elapsed"])
-
     def _pool_execute(
         self,
         verb: str,
@@ -1017,453 +835,66 @@ class AsyncQueryServer:
                     raise
         raise AssertionError("unreachable")
 
-    def _do_query(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope("QUERY", "ProtocolError", "QUERY needs a query")
-        source = self._strip(argument)
-        key = None
-        if self.breaker is not None:
-            try:
-                key = self.session.plan_key(source)
-            except Exception:
-                key = None  # parse errors surface from evaluation below
-            if key is not None and not self.breaker.allow(key):
-                return self._degraded_reply(source, key)
-        try:
-            if self.pool is not None:
-                payload = self._pool_execute("QUERY", source, conn)
-                self._record_query_metrics(payload)
-            else:
-                payload = self._local_query(source, conn)
-        except BudgetExceeded as exc:
-            if self.breaker is not None and key is not None:
-                self.breaker.record_blowout(key)
-            if exc.reason == "deadline":
-                self.session.metrics.record_timeout()
-                reply = _error_envelope("QUERY", "Timeout", str(exc))
-            else:
-                self.session.metrics.record_error()
-                reply = _error_envelope("QUERY", "BudgetExceeded", str(exc))
-            reply["budget"] = exc.as_dict()
-            reply["retry_after"] = self.retry_after
-            return reply
-        if self.breaker is not None and key is not None:
-            self.breaker.record_success(key)
-        return {
-            "ok": True,
-            "verb": "QUERY",
-            "query": source,
-            "strategy": payload["strategy"],
-            "answers": payload["answers"],
-            "count": payload["count"],
-            "plan_cached": payload["plan_cached"],
-            "result_cached": payload["result_cached"],
-            "elapsed_ms": payload["elapsed"] * 1e3,
-        }
-
-    def _local_query(
-        self, source: str, conn: Optional[_Connection]
-    ) -> Dict[str, Any]:
-        budget = self._local_budget(conn)
-        try:
-            result = self.session.execute(source, self.max_depth, budget)
-        except BudgetExceeded as exc:
-            self._translate_local_budget(exc, conn)
-            raise
-        finally:
-            self._clear_budget(conn)
-        return {
-            "strategy": result.strategy,
-            "answers": [[str(v) for v in row] for row in result.rows],
-            "count": len(result.rows),
-            "plan_cached": result.plan_cached,
-            "result_cached": result.result_cached,
-            "elapsed": result.elapsed,
-        }
-
-    def _degraded_reply(self, source: str, key: object) -> Dict[str, object]:
-        """Answer while the breaker is open — same ladder as threaded:
-        stale cached rows, else a tight existence probe, else
-        ``CircuitOpen`` with ``retry_after``."""
-        cached = self.session.peek_cached(source)
-        if cached is not None:
-            plan, rows = cached
-            return {
-                "ok": True,
-                "verb": "QUERY",
-                "query": source,
-                "strategy": plan.strategy,
-                "answers": [[str(value) for value in row] for row in rows],
-                "count": len(rows),
-                "plan_cached": True,
-                "result_cached": True,
-                "degraded": "cached",
-            }
-        try:
-            found = self.session.exists(
-                source, budget=Budget(timeout=0.25, max_rounds=100_000)
-            )
-        except Exception:
-            pass  # even the probe is over budget (or unparsable)
+    def _record_pooled(self, verb: str, payload: Dict[str, Any]) -> None:
+        """The worker recorded this request in its own forked metrics;
+        replicate the session-level accounting the in-process path
+        gets from QuerySession."""
+        metrics = self.session.metrics
+        if verb == "PLAN":
+            metrics.record_plan(payload["cached"])
+            metrics.record_verb("PLAN", payload["elapsed"])
+            return
+        if verb == "EXPLAIN":
+            seen = payload["report"]
+            self.session.remember_trace(seen)
+            elapsed = float(seen.get("elapsed_ms") or 0.0) / 1e3
+            result_cached = False
         else:
-            return {
-                "ok": True,
-                "verb": "QUERY",
-                "query": source,
-                "degraded": "existence",
-                "exists": found,
-                "answers": [],
-                "count": 0,
-            }
-        remaining = self.breaker.remaining(key) if self.breaker else 0.0
-        reply = _error_envelope(
-            "QUERY", "CircuitOpen",
-            "circuit open for this query shape after repeated budget "
-            f"blowouts; retry in {remaining:.2f}s",
+            seen = payload
+            elapsed = payload["elapsed"]
+            result_cached = payload["result_cached"]
+        counters = seen.get("counters")
+        metrics.record_query(
+            seen.get("strategy", "unknown"),
+            elapsed,
+            plan_cached=bool(seen.get("plan_cached")),
+            result_cached=result_cached,
+            counters=Counters(**counters) if counters else None,
         )
-        reply["retry_after"] = remaining
-        return reply
+        metrics.record_verb("QUERY", elapsed)
 
-    # -- PLAN / EXPLAIN / TRACE / PROFILE -------------------------------
-    def _do_plan(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope("PLAN", "ProtocolError", "PLAN needs a query")
-        source = self._strip(argument)
-        if self.pool is not None:
-            payload = self._pool_execute("PLAN", source, conn)
-            self.session.metrics.record_plan(payload["cached"])
-            self.session.metrics.record_verb("PLAN", payload["elapsed"])
-            return {
-                "ok": True,
-                "verb": "PLAN",
-                "strategy": payload["strategy"],
-                "recursion_class": payload["recursion_class"],
-                "plan": payload["plan"],
-                "cached": payload["cached"],
-            }
-        plan, cached = self.session.plan(source)
-        return {
-            "ok": True,
-            "verb": "PLAN",
-            "strategy": plan.strategy,
-            "recursion_class": plan.recursion_class,
-            "plan": plan.explain(),
-            "cached": cached,
-        }
-
-    def _do_explain(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "EXPLAIN", "ProtocolError", "EXPLAIN needs a query"
-            )
-        source = self._strip(argument)
-        if self.pool is not None:
-            payload = self._pool_execute("EXPLAIN", source, conn)
-            report = payload["report"]
-            elapsed = float(report.get("elapsed_ms") or 0.0) / 1e3
-            counters = report.get("counters")
-            self.session.metrics.record_query(
-                report.get("strategy", "unknown"),
-                elapsed,
-                plan_cached=bool(report.get("plan_cached")),
-                result_cached=False,
-                counters=Counters(**counters) if counters else None,
-            )
-            self.session.metrics.record_verb("QUERY", elapsed)
-            self.session.remember_trace(report)
-            return {"ok": True, "verb": "EXPLAIN", "trace": report}
-        budget = self._local_budget(conn)
-        try:
-            report = self.session.explain(source, self.max_depth, budget)
-        except BudgetExceeded as exc:
-            self._translate_local_budget(exc, conn)
-            raise
-        finally:
-            self._clear_budget(conn)
-        return {"ok": True, "verb": "EXPLAIN", "trace": report}
-
-    def _do_trace(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if argument:
-            reply = self._do_explain(argument, conn)
-            reply["verb"] = "TRACE"
-            return reply
-        report = self.session.last_trace
-        if report is None:
-            return _error_envelope(
-                "TRACE", "NoTrace",
-                "no traced query yet; use EXPLAIN <query> or TRACE <query>",
-            )
-        return {"ok": True, "verb": "TRACE", "trace": report}
-
-    def _do_profile(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "PROFILE", "ProtocolError", "PROFILE needs a query"
-            )
-        source = self._strip(argument)
+    def _evaluate(
+        self, verb: str, source: str, conn: Optional[_Connection]
+    ) -> Dict[str, Any]:
         # Span profiling carries process-local span objects; it always
         # runs in-process (still off-loop, on a dispatch thread).
+        if self.pool is not None and verb != "PROFILE":
+            payload = self._pool_execute(verb, source, conn)
+            self._record_pooled(verb, payload)
+            return payload
         budget = self._local_budget(conn)
         try:
-            report = self.session.profile(source, self.max_depth, budget=budget)
+            return _serve_one(
+                self.session,
+                verb,
+                {"source": source, "max_depth": self.max_depth},
+                budget,
+            )
         except BudgetExceeded as exc:
             self._translate_local_budget(exc, conn)
             raise
         finally:
             self._clear_budget(conn)
-        return {"ok": True, "verb": "PROFILE", "profile": report}
-
-    # -- mutation & observability verbs ---------------------------------
-    def _do_fact(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope("FACT", "ProtocolError", "FACT needs a clause")
-        clause = argument if argument.endswith(".") else argument + "."
-        rule = parse_rule(clause)
-        database = self.session.database
-        before = database.version
-        self.session.add_rule(rule)  # serializes with in-flight queries
-        return {
-            "ok": True,
-            "verb": "FACT",
-            "clause": str(rule),
-            "kind": "fact" if rule.is_fact() else "rule",
-            "added": database.version != before,
-            "edb_version": database.edb_version,
-            "idb_version": database.idb_version,
-        }
-
-    def _do_retract(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "RETRACT", "ProtocolError", "RETRACT needs a ground fact"
-            )
-        clause = argument if argument.endswith(".") else argument + "."
-        rule = parse_rule(clause)
-        if not rule.is_fact():
-            return _error_envelope(
-                "RETRACT", "ProtocolError",
-                "RETRACT takes a ground fact; rules cannot be retracted",
-            )
-        database = self.session.database
-        removed = self.session.retract_fact(rule.head.name, rule.head.args)
-        return {
-            "ok": True,
-            "verb": "RETRACT",
-            "clause": str(rule),
-            "removed": removed,
-            "edb_version": database.edb_version,
-            "idb_version": database.idb_version,
-        }
-
-    def _parse_predicate(self, argument: str) -> Predicate:
-        argument = self._strip(argument)
-        if "/" in argument:
-            name, _, arity_text = argument.partition("/")
-            return Predicate(name.strip(), int(arity_text.strip()))
-        rule = parse_rule(
-            argument if argument.endswith(".") else argument + "."
-        )
-        return rule.head.predicate
-
-    def _do_subscribe(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "SUBSCRIBE", "ProtocolError",
-                "SUBSCRIBE needs a predicate (name/arity or a literal)",
-            )
-        if conn is None:
-            return _error_envelope(
-                "SUBSCRIBE", "ProtocolError",
-                "SUBSCRIBE needs a live connection to push deltas to",
-            )
-        predicate = self._parse_predicate(argument)
-        problem = self.session.subscribable(predicate)
-        if problem is not None:
-            return _error_envelope("SUBSCRIBE", "Unsubscribable", problem)
-        # No settimeout dance here: the idle sweep skips subscribed
-        # connections, and push liveness is policed by backlog growth.
-        sub = self.subscriptions.add(conn, predicate)
-        return {
-            "ok": True,
-            "verb": "SUBSCRIBE",
-            "subscription": sub.id,
-            "predicate": str(predicate),
-        }
-
-    def _do_unsubscribe(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        removed: List[int] = []
-        if argument:
-            sub_id = int(argument)
-            if self.subscriptions.remove(sub_id, connection=conn):
-                removed.append(sub_id)
-        elif conn is not None:
-            for sub_id in self.subscriptions.ids_for(conn):
-                if self.subscriptions.remove(sub_id, connection=conn):
-                    removed.append(sub_id)
-        return {"ok": True, "verb": "UNSUBSCRIBE", "removed": removed}
-
-    def _do_stats(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        return {"ok": True, "verb": "STATS", "stats": self.session.stats()}
-
-    def _do_metrics(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        return {
-            "ok": True,
-            "verb": "METRICS",
-            "content_type": "text/plain; version=0.0.4",
-            "body": self.session.metrics_text(),
-        }
-
-    def _do_slowlog(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if argument.upper() == "CLEAR":
-            dropped = self.session.clear_slowlog()
-            return {"ok": True, "verb": "SLOWLOG", "cleared": dropped}
-        return {
-            "ok": True,
-            "verb": "SLOWLOG",
-            "threshold_ms": self.session.slow_query_ms,
-            "entries": self.session.slowlog(),
-        }
-
-    def _do_reqlog(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        if argument.upper() == "CLEAR":
-            dropped = self.session.lifecycle.clear()
-            return {"ok": True, "verb": "REQLOG", "cleared": dropped}
-        limit = None
-        if argument:
-            try:
-                limit = int(argument)
-            except ValueError:
-                return _error_envelope(
-                    "REQLOG", "ProtocolError",
-                    "REQLOG takes an optional integer limit, or CLEAR",
-                )
-        return {
-            "ok": True,
-            "verb": "REQLOG",
-            "size": self.session.lifecycle.size,
-            "records": self.session.reqlog(limit),
-        }
-
-    def _do_health(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        return {"ok": True, "verb": "HEALTH", "health": self.session.health()}
-
-    def _do_record(
-        self, argument: str, conn: Optional[_Connection] = None
-    ) -> Dict[str, object]:
-        return _do_record_verb(self.session, argument)
 
     # ------------------------------------------------------------------
     # Delta push channel
     # ------------------------------------------------------------------
-    def _on_mutation(self, batch: MutationBatch) -> None:
-        """Fan one committed batch out as DELTA lines via the outboxes.
-
-        Runs on the mutating thread; queueing is non-blocking, so a
-        slow subscriber can never stall the mutator.  A subscriber
-        whose outbox would overflow ``push_backlog`` is dropped and
-        counted in ``repro_push_dropped_total``.
-        """
-        if not self.subscriptions.count():
-            return
-        deltas: Dict[Predicate, Tuple[list, list]] = {}
-        for predicate, delta in batch.deltas.items():
-            deltas[predicate] = (list(delta.added), list(delta.removed))
-        views = self.session.views
-        if views is not None:
-            report = views.last_report
-            if report is not None and report.batch is batch:
-                for predicate, (adds, dels) in report.derived.items():
-                    deltas[predicate] = (list(adds), list(dels))
-        for predicate, (adds, dels) in deltas.items():
-            if not adds and not dels:
-                continue
-            subs = self.subscriptions.for_predicate(predicate)
-            if not subs:
-                continue
-            envelope = {
-                "ok": True,
-                "verb": "DELTA",
-                "predicate": str(predicate),
-                "adds": [[str(value) for value in row] for row in adds],
-                "dels": [[str(value) for value in row] for row in dels],
-                "edb_version": batch.edb_version,
-            }
-            for sub in subs:
-                payload = dict(envelope)
-                payload["subscription"] = sub.id
-                wire = json.dumps(payload).encode("utf-8") + b"\n"
-                status = self._send_bytes(sub.connection, wire, push=True)
-                if status is None:
-                    # Stalled subscriber: backlog overflow.
-                    if self.subscriptions.remove(sub.id) is not None:
-                        self.session.metrics.record_push_dropped()
-                        self.session.metrics.record_disconnect()
-                        log_event(
-                            _log, logging.INFO, "push_drop",
-                            subscription=sub.id,
-                            predicate=str(predicate),
-                        )
-                        self._request_close(sub.connection)
-
-
-def serve_async(
-    database: Database,
-    host: str = "127.0.0.1",
-    port: int = 8473,
-    timeout: Optional[float] = None,
-    max_depth: Optional[int] = None,
-    slow_query_ms: Optional[float] = None,
-    slowlog_size: int = 8,
-    workers: Optional[int] = None,
-    budget: Optional[Budget] = None,
-    max_pending: Optional[int] = 64,
-    idle_timeout: Optional[float] = None,
-    breaker_threshold: Optional[int] = 3,
-    breaker_cooldown: float = 5.0,
-    push_backlog: int = 1_048_576,
-    ivm: bool = False,
-    reqlog_size: int = 256,
-) -> AsyncQueryServer:
-    """Convenience: session + event-loop server, already listening."""
-    return AsyncQueryServer(
-        QuerySession(
-            database, slow_query_ms=slow_query_ms, slowlog_size=slowlog_size,
-            ivm=ivm, reqlog_size=reqlog_size,
-        ),
-        host=host, port=port,
-        timeout=timeout, max_depth=max_depth,
-        workers=workers,
-        budget=budget, max_pending=max_pending,
-        idle_timeout=idle_timeout,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
-        push_backlog=push_backlog,
-    )
+    def _push(self, sub: _Subscription, wire: bytes) -> None:
+        """Queue ``wire`` on the subscriber's outbox, within the
+        backlog; a stalled subscriber is detected by backlog growth."""
+        conn = sub.connection
+        if (
+            self._send_bytes(conn, wire, push=True) is None
+            and self._drop_subscriber(sub)
+        ):
+            self._request_close(conn)

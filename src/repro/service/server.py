@@ -1,122 +1,37 @@
-"""A threaded TCP line-protocol server over a shared QuerySession.
+"""The threaded transport: one OS thread per connection.
 
-Protocol: one request per line, one JSON reply envelope per line.
+:class:`QueryServer` serves the line protocol of
+:mod:`repro.service.protocol` (verbs, envelopes, admission, breaker and
+DELTA fan-out all live there) from a
+``socketserver.ThreadingTCPServer``.  This module is only the I/O
+machinery underneath:
 
-========  ==========================  =======================================
-verb      argument                    reply payload
-========  ==========================  =======================================
-QUERY     a query, e.g. ``sg(ann,Y)``  ``answers`` (rows of rendered terms),
-                                      ``count``, ``strategy``, cache flags
-PLAN      a query                     ``plan`` (the explain text),
-                                      ``strategy``, ``cached``
-FACT      a clause, e.g.              ``added`` plus the new version stamp;
-          ``parent(ann, bea).``       rules are accepted too and bump the
-                                      IDB version instead
-RETRACT   a ground fact, e.g.         ``removed`` plus the new version
-          ``parent(ann, bea).``       stamp; only stored facts can be
-                                      retracted, not rules
-SUBSCRIBE ``name/arity`` or a         ``subscription`` (an id); from then
-          literal, e.g. ``sg(X,Y)``   on every committed mutation batch
-                                      that changes the predicate pushes a
-                                      ``DELTA`` line (``adds``/``dels``)
-                                      on this connection
-UNSUBSCRIBE  an id (optional)         drops that subscription (or, with
-                                      no argument, all on this
-                                      connection); ``removed`` lists ids
-STATS     —                           the ``ServiceMetrics`` snapshot plus
-                                      cache/database state
-EXPLAIN   a query                     evaluate with tracing on; the full
-                                      EXPLAIN report — per-round delta
-                                      sizes, observed-vs-predicted
-                                      expansion ratios, split check
-TRACE     a query (optional)          with an argument: alias of EXPLAIN;
-                                      without: the last EXPLAIN report
-METRICS   —                           ``body``: the metrics in Prometheus
-                                      text exposition format
-PROFILE   a query                     evaluate with span profiling on; the
-                                      per-rule/per-stage wall-clock
-                                      attribution report
-SLOWLOG   ``CLEAR`` (optional)        retained slow-query entries (span
-                                      profile attached), most recent
-                                      first; ``CLEAR`` drops them
-REQLOG    a limit (optional) or       the flight recorder's per-request
-          ``CLEAR``                   stage timelines (read/parse/
-                                      admission/eval/serialize/flush
-                                      milliseconds per request), most
-                                      recent first; ``CLEAR`` drops them
-HEALTH    —                           liveness/pressure summary (uptime,
-                                      error/timeout/slow-query counts,
-                                      cache and database state)
-RECORD    ``START <path>``,           workload capture control: START
-          ``STOP`` or ``STATUS``      snapshots the EDB and records every
-          (optional)                  completed request to a replayable
-                                      JSONL archive at ``path``; STOP
-                                      flushes and closes it; STATUS (or
-                                      no argument) reports the recorder
-========  ==========================  =======================================
+* **Blocking reads, one handler thread per connection.**  ``idle_timeout``
+  is the socket timeout, so a silent peer eventually gives its thread
+  back.  Subscribed connections are exempt from it and from the
+  mid-request disconnect probe — silence is their normal state.
+* **A worker thread pool enforces the wall-clock ``timeout``.**  Heavy
+  verbs evaluate on a pool thread while the handler thread waits; when
+  the wait is abandoned (deadline, or a ``MSG_PEEK`` probe finds the
+  peer gone) the request's :class:`~repro.resilience.Budget` is
+  *cancelled*, so the worker releases the session lock at its next
+  cooperative checkpoint instead of running a pathological query to
+  completion.
+* **A pusher thread delivers DELTA lines.**  Request replies and pushes
+  on the same connection are serialized by a per-connection write lock
+  so lines never interleave.  The push path is bounded in time and
+  space: every push write must finish within ``push_timeout`` seconds
+  (a stalled consumer is reaped like a dead one, so it cannot freeze
+  delivery to healthy subscribers), and each subscriber may have at
+  most ``push_backlog`` bytes queued.
 
-Raw HTTP ``GET`` request lines on the same port are answered with a
-minimal ``HTTP/1.0`` response (connection closed afterwards):
-``/metrics`` carries the Prometheus text page, ``/healthz`` the HEALTH
-summary as JSON, ``/slowlog`` the slow-query log and ``/reqlog`` the
-flight-recorder ring as JSON — so the TCP port doubles as a
-scrape/probe target for ``curl``/Prometheus without a separate HTTP
-server.
-
-Every reply is ``{"ok": true, "verb": ..., ...}`` or
-``{"ok": false, "verb": ..., "error": {"type": ..., "message": ...}}`` —
-parse errors, planning errors, evaluation errors and timeouts all come
-back as structured envelopes; the connection (and the server) survives.
-
-``QUERY`` requests run under a wall-clock ``timeout``, a chain-depth
-budget (``max_depth``) and an optional resource ``budget`` template
-(tuples/rounds/live substitutions).  The timeout is enforced by running
-evaluation on a worker pool; when the wait is abandoned the in-flight
-request's :class:`~repro.resilience.Budget` is *cancelled*, so the
-worker observes the cancellation at its next cooperative checkpoint and
-releases the session lock promptly instead of running the pathological
-query to completion.  The same cancellation fires when the client
-vanishes mid-request.  Clients keep the connection open for any number
-of requests.
-
-Overload and repeated blowouts degrade gracefully rather than crash:
-
-* an :class:`~repro.resilience.AdmissionController` sheds excess
-  heavy-verb requests with ``Overloaded`` envelopes carrying
-  ``retry_after`` (observability verbs are never shed);
-* a :class:`~repro.resilience.CircuitBreaker` keyed on the plan-cache
-  key trips after consecutive budget blowouts on the same query shape
-  and serves degraded answers while open — a stale cached result if one
-  exists, else an existence-only probe under a tight budget, else a
-  ``CircuitOpen`` envelope with ``retry_after``.
-
-``SUBSCRIBE`` turns the connection into a push channel: a pusher thread
-delivers one ``{"ok": true, "verb": "DELTA", "subscription": id,
-"predicate": "name/arity", "adds": [...], "dels": [...]}`` line per
-committed mutation batch that changes the subscribed predicate.  For
-stored predicates the deltas come straight from the batch; for derived
-predicates they come from the session's incremental view maintenance
-(the session must be constructed with ``ivm=True``).  Request replies
-and pushed deltas on the same connection are serialized by a
-per-connection write lock so lines never interleave.  Subscribed
-connections are exempt from ``idle_timeout`` and from the mid-request
-disconnect probe — silence is their normal state.
-
-The push path is bounded in both time and space: every push write must
-finish within ``push_timeout`` seconds (a stalled consumer is reaped
-like a dead one, so it cannot freeze DELTA delivery to healthy
-subscribers), and each subscriber may have at most ``push_backlog``
-bytes of undelivered DELTA payload queued — overflowing the backlog
-drops the subscriber and bumps ``repro_push_dropped_total``.
-
-For an event-loop front end that keeps thousands of idle connections
-cheap and dispatches heavy verbs to a multiprocessing pool of evaluator
-workers, see :mod:`repro.service.eventloop`.
+For the event-loop transport that keeps thousands of idle connections
+cheap and dispatches heavy verbs to forked evaluator workers, see
+:mod:`repro.service.eventloop`.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import queue
 import select
@@ -126,84 +41,27 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..datalog.literals import Predicate
-from ..datalog.parser import parse_rule
-from ..engine.database import Database, MutationBatch
-from ..observe import (
-    RequestRecord,
-    activate,
-    current_id,
-    get_logger,
-    log_event,
-    mark_stage,
-    set_verb,
+from ..observe import RequestRecord, current_id, get_logger, log_event, mark_stage
+from ..resilience import Budget
+from .protocol import (
+    MAX_DRAIN_BYTES,
+    MAX_LINE_BYTES,
+    OVERSIZED_WIRE,
+    ClientDisconnected,
+    ProtocolCore,
+    _Subscription,
 )
-from ..resilience import AdmissionController, Budget, BudgetExceeded, CircuitBreaker
 from .session import QuerySession
+from .workers import _serve_one
 
 _log = get_logger("server")
 
-__all__ = [
-    "ClientDisconnected",
-    "QueryServer",
-    "install_signal_handlers",
-    "serve",
-]
-
-
-def install_signal_handlers(server, signals=None) -> bool:
-    """Route SIGTERM/SIGINT into the server's graceful shutdown path.
-
-    Today only an explicit ``shutdown()`` call flushes the WAL,
-    finalizes a running capture, drains the deferred stage-latency
-    queue and reaps workers; a signal would skip all of it.  This
-    wires the signals to ``request_shutdown()`` — which merely makes
-    ``serve_forever()`` return, so the *one* teardown path (the
-    caller's ``finally: server.shutdown()``) runs for signals exactly
-    as it does for KeyboardInterrupt and normal exit.
-
-    Both front ends (:class:`QueryServer` here and the event loop's
-    ``AsyncQueryServer``) expose the same ``request_shutdown()``
-    surface, so one installer covers both.  Returns ``False`` (and
-    installs nothing) off the main thread, where CPython refuses
-    signal handler registration.
-    """
-    import signal as signal_module
-
-    if signals is None:
-        signals = (signal_module.SIGTERM, signal_module.SIGINT)
-
-    def _handle(signum, frame):  # noqa: ARG001 (signal handler shape)
-        server.request_shutdown()
-
-    try:
-        for signum in signals:
-            signal_module.signal(signum, _handle)
-    except ValueError:  # not the main thread
-        return False
-    return True
-
-#: Refuse absurd request lines instead of buffering them.
-MAX_LINE_BYTES = 64 * 1024
-
-#: Hard ceiling on bytes drained after an oversized request line; a
-#: peer still streaming past this is hosing us and gets disconnected.
-MAX_DRAIN_BYTES = 512 * 1024
-
-#: Verbs that evaluate (or plan) a query and therefore go through
-#: admission control; STATS/HEALTH/METRICS/SLOWLOG and the mutation
-#: verbs (FACT/RETRACT) stay exempt so the health surfaces and the
-#: write path remain responsive under load shedding.
-HEAVY_VERBS = frozenset({"QUERY", "PLAN", "EXPLAIN", "TRACE", "PROFILE"})
+__all__ = ["QueryServer"]
 
 #: How often the result-wait loop re-checks deadline and peer liveness.
 _POLL_INTERVAL = 0.05
-
-
-class ClientDisconnected(ConnectionError):
-    """The peer vanished while its request was still being served."""
 
 
 class _PushTimeout(OSError):
@@ -249,190 +107,18 @@ def _send_all_bounded(
         view = view[sent:]
 
 
-def _error_envelope(verb: str, exc_type: str, message: str) -> Dict[str, object]:
-    return {
-        "ok": False,
-        "verb": verb,
-        "error": {"type": exc_type, "message": message},
-    }
-
-
-def http_response(session: QuerySession, raw: bytes) -> bytes:
-    """One-shot HTTP/1.0 response for a ``GET ...`` request line on the
-    line-protocol port: /metrics (Prometheus scrape), /healthz and
-    /slowlog probes.  Shared by the threaded handler and the event-loop
-    front end."""
+def _hang_up(connection: socket.socket) -> None:
+    """Unblock any read or push write in flight on a dropped
+    subscriber's socket; its handler thread notices the close on its
+    next read."""
     try:
-        path = raw.split()[1].decode("ascii", errors="replace")
-    except IndexError:
-        path = "/"
-    path = path.split("?", 1)[0]
-    if path == "/metrics":
-        status = b"200 OK"
-        content_type = b"text/plain; version=0.0.4; charset=utf-8"
-        body = session.metrics_text().encode("utf-8")
-    elif path == "/healthz":
-        status = b"200 OK"
-        content_type = b"application/json; charset=utf-8"
-        body = json.dumps(session.health()).encode("utf-8")
-    elif path == "/slowlog":
-        status = b"200 OK"
-        content_type = b"application/json; charset=utf-8"
-        body = json.dumps(session.slowlog()).encode("utf-8")
-    elif path == "/reqlog":
-        status = b"200 OK"
-        content_type = b"application/json; charset=utf-8"
-        body = json.dumps(session.reqlog()).encode("utf-8")
-    else:
-        status = b"404 Not Found"
-        content_type = b"text/plain; charset=utf-8"
-        body = (
-            f"no route {path}; try /metrics, /healthz, /slowlog or /reqlog\n"
-        ).encode("utf-8")
-    return (
-        b"HTTP/1.0 " + status + b"\r\n"
-        b"Content-Type: " + content_type + b"\r\n"
-        b"Content-Length: " + str(len(body)).encode() + b"\r\n"
-        b"Connection: close\r\n\r\n" + body
-    )
-
-
-class _Subscription:
-    """One SUBSCRIBE registration: a predicate feeding one connection."""
-
-    __slots__ = ("id", "predicate", "connection", "lock", "pending_bytes")
-
-    def __init__(
-        self,
-        sub_id: int,
-        predicate: Predicate,
-        connection,
-        lock: threading.Lock,
-    ):
-        self.id = sub_id
-        self.predicate = predicate
-        self.connection = connection
-        self.lock = lock
-        #: Bytes of DELTA payload enqueued for this subscriber but not
-        #: yet written to its socket — the per-subscriber backlog that
-        #: ``push_backlog`` caps.
-        self.pending_bytes = 0
-
-
-class _Subscriptions:
-    """Thread-safe registry of live subscriptions.
-
-    Also owns the per-connection write locks that serialize request
-    replies against pushed DELTA lines on the same socket.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._next_id = 1
-        self._by_id: Dict[int, _Subscription] = {}
-        self._by_conn: Dict[socket.socket, List[int]] = {}
-        self._conn_locks: Dict[socket.socket, threading.Lock] = {}
-
-    def lock_for(self, connection: socket.socket) -> threading.Lock:
-        with self._lock:
-            lock = self._conn_locks.get(connection)
-            if lock is None:
-                lock = threading.Lock()
-                self._conn_locks[connection] = lock
-            return lock
-
-    def add(
-        self, connection: socket.socket, predicate: Predicate
-    ) -> _Subscription:
-        write_lock = self.lock_for(connection)
-        with self._lock:
-            sub = _Subscription(
-                self._next_id, predicate, connection, write_lock
-            )
-            self._next_id += 1
-            self._by_id[sub.id] = sub
-            self._by_conn.setdefault(connection, []).append(sub.id)
-            return sub
-
-    def remove(
-        self, sub_id: int, connection: Optional[socket.socket] = None
-    ) -> Optional[_Subscription]:
-        """Drop ``sub_id``; with ``connection`` given, only if it owns it."""
-        with self._lock:
-            sub = self._by_id.get(sub_id)
-            if sub is None:
-                return None
-            if connection is not None and sub.connection is not connection:
-                return None
-            del self._by_id[sub_id]
-            ids = self._by_conn.get(sub.connection)
-            if ids is not None:
-                try:
-                    ids.remove(sub_id)
-                except ValueError:
-                    pass
-                if not ids:
-                    del self._by_conn[sub.connection]
-            return sub
-
-    def drop_connection(self, connection: socket.socket) -> List[int]:
-        """The connection closed: forget its subscriptions and lock."""
-        with self._lock:
-            ids = self._by_conn.pop(connection, [])
-            for sub_id in ids:
-                self._by_id.pop(sub_id, None)
-            self._conn_locks.pop(connection, None)
-            return ids
-
-    def ids_for(self, connection: socket.socket) -> List[int]:
-        with self._lock:
-            return list(self._by_conn.get(connection, ()))
-
-    def is_live(self, sub: _Subscription) -> bool:
-        """Is this exact registration still current?"""
-        with self._lock:
-            return self._by_id.get(sub.id) is sub
-
-    def try_reserve(self, sub: _Subscription, nbytes: int, cap: int):
-        """Account ``nbytes`` of pending push payload for ``sub``.
-
-        Returns ``True`` when reserved, ``False`` when the subscription
-        is already gone, and ``None`` when the reservation would push
-        the subscriber past ``cap`` — the overflow signal that makes
-        the caller drop the subscriber instead of buffering unbounded.
-        """
-        with self._lock:
-            if self._by_id.get(sub.id) is not sub:
-                return False
-            if sub.pending_bytes + nbytes > cap:
-                return None
-            sub.pending_bytes += nbytes
-            return True
-
-    def release(self, sub: _Subscription, nbytes: int) -> None:
-        """The pusher wrote (or abandoned) ``nbytes`` of backlog."""
-        with self._lock:
-            sub.pending_bytes = max(0, sub.pending_bytes - nbytes)
-
-    def is_subscribed(self, connection: socket.socket) -> bool:
-        with self._lock:
-            return connection in self._by_conn
-
-    def for_predicate(self, predicate: Predicate) -> List[_Subscription]:
-        with self._lock:
-            return [
-                sub
-                for sub in self._by_id.values()
-                if sub.predicate == predicate
-            ]
-
-    def count(self) -> int:
-        with self._lock:
-            return len(self._by_id)
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One connection: read request lines, write JSON reply lines."""
+    """One connection: read request lines, write reply lines."""
 
     server: "_TCPServer"
 
@@ -455,23 +141,10 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if raw.startswith(b"GET "):
                 # One-shot HTTP request on the line-protocol port:
-                # minimal HTTP/1.0 response, then close.  /metrics is
-                # the Prometheus scrape; /healthz, /slowlog and
-                # /reqlog serve the probes next to it.
-                record = self._mint_record()
-                if record is not None:
-                    record.verb = "HTTP"
-                    try:
-                        record.detail = raw.split()[1].decode(
-                            "ascii", errors="replace"
-                        )[:200]
-                    except IndexError:
-                        record.detail = "/"
-                    record.mark("parse")
-                self._handle_http(raw, record)
+                # minimal HTTP/1.0 response, then close.
+                self._handle_http(raw)
                 return
             close_after_reply = False
-            capture_line: Optional[str] = None
             record: Optional[RequestRecord] = None
             if len(raw) > MAX_LINE_BYTES:
                 # readline() returned a *partial* line; drain the rest
@@ -489,45 +162,19 @@ class _Handler(socketserver.StreamRequestHandler):
                     if drained > MAX_DRAIN_BYTES:
                         close_after_reply = True
                         break
-                reply = _error_envelope(
-                    "?", "ProtocolError", f"request line over {MAX_LINE_BYTES} bytes"
-                )
+                wire = OVERSIZED_WIRE
             else:
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
                 record = self._mint_record()
-                if record is not None:
-                    record.detail = line[:200]
-                    # Guarded at the call site: fires per request, and
-                    # even a disabled log_event costs a kwargs dict.
-                    if _log.isEnabledFor(logging.DEBUG):
-                        log_event(
-                            _log, logging.DEBUG, "dispatch",
-                            request_id=record.id, line=record.detail,
-                        )
                 try:
-                    with activate(record):
-                        reply = query_server.handle_line(
-                            line, connection=self.connection
-                        )
+                    wire = query_server._respond(line, record, self.connection)
                 except ClientDisconnected:
                     # Budget already cancelled and disconnect recorded
                     # by the wait loop; nothing left to reply to.
-                    self._finalize(record, "disconnected")
+                    query_server._finalize_record(record, "disconnected")
                     return
-                if record is not None:
-                    record.mark("eval")
-                capture_line = line
-            wire = json.dumps(reply).encode("utf-8") + b"\n"
-            if record is not None:
-                record.mark("serialize")
-            if capture_line is not None:
-                # After serialization so the recorder's writer thread
-                # can digest the exact wire bytes without re-dumping.
-                capture = query_server.session.capture
-                if capture.active:
-                    capture.record(capture_line, reply, record, wire)
             try:
                 # The connection's write lock keeps the reply line from
                 # interleaving with DELTA pushes on the same socket.
@@ -538,11 +185,11 @@ class _Handler(socketserver.StreamRequestHandler):
                     self.wfile.flush()
             except (ConnectionError, OSError):
                 query_server.session.metrics.record_disconnect()
-                self._finalize(record, "aborted")
+                query_server._finalize_record(record, "aborted")
                 return
             if record is not None:
                 record.mark("flush")
-            self._finalize(record, "ok")
+            query_server._finalize_record(record, "ok")
             if close_after_reply:
                 return
 
@@ -577,28 +224,19 @@ class _Handler(socketserver.StreamRequestHandler):
             record.mark("queue")
         return record
 
-    def _finalize(self, record: Optional[RequestRecord], status: str) -> None:
-        if record is not None:
-            record.finish(status)
-            session = self.server.query_server.session
-            session.lifecycle.commit(record, session.metrics)
-
-    def _handle_http(
-        self, raw: bytes, record: Optional[RequestRecord] = None
-    ) -> None:
+    def _handle_http(self, raw: bytes) -> None:
+        query_server = self.server.query_server
+        record = self._mint_record()
+        response = query_server._respond_http(raw, record)
         try:
-            response = http_response(self.server.query_server.session, raw)
-            if record is not None:
-                record.mark("eval")
-                record.mark("serialize")
             self.wfile.write(response)
             self.wfile.flush()
         except (ConnectionError, OSError):
-            self._finalize(record, "aborted")
+            query_server._finalize_record(record, "aborted")
             return
         if record is not None:
             record.mark("flush")
-        self._finalize(record, "ok")
+        query_server._finalize_record(record, "ok")
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -607,24 +245,17 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     query_server: "QueryServer"
 
 
-class QueryServer:
-    """Serve a :class:`QuerySession` over TCP.
+class QueryServer(ProtocolCore):
+    """Serve a :class:`QuerySession` over TCP, a thread per connection.
 
-    ``timeout`` is the per-request wall-clock budget in seconds (None
-    disables it); ``max_depth`` the per-request chain-depth budget
-    (None defers to the session's own).
-
-    ``budget`` is a :class:`~repro.resilience.Budget` *template*: every
-    heavy request runs under a fresh ``fork()`` of it, giving the server
-    a cancellation handle even when no limits are set.  ``max_pending``
-    bounds admitted heavy-verb requests (None disables admission
-    control); ``verb_limits`` optionally bounds per-verb concurrency
-    (default: at most ``workers`` concurrent ``QUERY``\\ s).
-    ``idle_timeout`` closes connections whose peer goes silent.
-    ``breaker_threshold`` consecutive budget blowouts on one plan-cache
-    key trip the circuit breaker for ``breaker_cooldown`` seconds (None
-    disables the breaker).
+    The protocol-level arguments are documented on
+    :class:`~repro.service.protocol.ProtocolCore`.  ``workers`` sizes
+    the evaluation thread pool (and, by default, the concurrent
+    ``QUERY`` limit); ``idle_timeout`` closes connections whose peer
+    goes silent; ``push_timeout`` bounds any single push write.
     """
+
+    ORIGIN = "threaded"
 
     def __init__(
         self,
@@ -644,64 +275,35 @@ class QueryServer:
         push_backlog: int = 1_048_576,
         push_timeout: Optional[float] = 5.0,
     ):
-        self.session = session
-        # Flight-recorder records minted by this front end are labelled
-        # with the serving model (the session default says "async").
-        session.lifecycle.origin = "threaded"
-        self.timeout = timeout
-        self.max_depth = max_depth
-        self.budget = budget
-        self.retry_after = retry_after
-        self.idle_timeout = idle_timeout
-        #: Per-subscriber cap on buffered DELTA bytes; a consumer whose
-        #: backlog exceeds it is dropped (``repro_push_dropped_total``)
-        #: instead of growing server memory without bound.
-        self.push_backlog = push_backlog
+        super().__init__(
+            session,
+            timeout=timeout,
+            max_depth=max_depth,
+            budget=budget,
+            max_pending=max_pending,
+            verb_limits=(
+                verb_limits if verb_limits is not None else {"QUERY": workers}
+            ),
+            retry_after=retry_after,
+            idle_timeout=idle_timeout,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown,
+            push_backlog=push_backlog,
+        )
         #: Wall-clock bound on any single push write; a subscriber that
         #: keeps a write blocked longer is treated as dead and reaped.
         self.push_timeout = push_timeout
-        if max_pending is None:
-            self.admission: Optional[AdmissionController] = None
-        else:
-            self.admission = AdmissionController(
-                max_pending=max_pending,
-                verb_limits=(
-                    verb_limits if verb_limits is not None
-                    else {"QUERY": workers}
-                ),
-                retry_after=retry_after,
-            )
-        if breaker_threshold is None:
-            self.breaker: Optional[CircuitBreaker] = None
-        else:
-            self.breaker = CircuitBreaker(
-                threshold=breaker_threshold, cooldown=breaker_cooldown
-            )
-            # STATS / the Prometheus page surface breaker state without
-            # the metrics module importing the breaker.
-            session.metrics.breaker_provider = self.breaker.snapshot
         self._tcp = _TCPServer((host, port), _Handler)
         self._tcp.query_server = self
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-query"
         )
         self._thread: Optional[threading.Thread] = None
-        self.subscriptions = _Subscriptions()
-        # STATS / the Prometheus page surface the live subscriber count.
-        session.metrics.subscriber_provider = self.subscriptions.count
         self._push_queue: "queue.Queue" = queue.Queue()
         self._pusher = threading.Thread(
             target=self._pusher_loop, name="repro-push", daemon=True
         )
         self._pusher.start()
-        # Registered after the session's own ViewManager listener (the
-        # session constructor ran first), so by the time _on_mutation
-        # sees a batch the maintenance report for it is already final.
-        session.database.add_mutation_listener(self._on_mutation)
-
-    @classmethod
-    def for_database(cls, database: Database, **kwargs) -> "QueryServer":
-        return cls(QuerySession(database), **kwargs)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -736,8 +338,7 @@ class QueryServer:
             target=self._tcp.shutdown, name="repro-shutdown", daemon=True
         ).start()
 
-    def shutdown(self) -> None:
-        self.session.database.remove_mutation_listener(self._on_mutation)
+    def _stop_transport(self) -> None:
         self._push_queue.put(None)
         self._tcp.shutdown()
         self._tcp.server_close()
@@ -746,92 +347,30 @@ class QueryServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        # Final-snapshot hygiene: push the deferred stage-latency
-        # samples into the histograms so a scrape of the metrics object
-        # after shutdown sees every committed request, close any live
-        # capture archive (flush + fsync) instead of leaking it, and
-        # flush + fsync + checkpoint the durability store so a restart
-        # recovers from a snapshot instead of a full WAL replay.
-        self.session.lifecycle.drain_metrics(self.session.metrics)
-        if self.session.capture.active:
-            self.session.capture.stop()
-        persist = getattr(self.session, "persist", None)
-        if persist is not None:
-            persist.close()
-
-    def __enter__(self) -> "QueryServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------
     # Delta push channel
     # ------------------------------------------------------------------
-    def _on_mutation(self, batch: MutationBatch) -> None:
-        """Database listener: fan one committed batch out as DELTA lines.
+    def _push(self, sub: _Subscription, wire: bytes) -> None:
+        """Queue ``wire`` for the pusher thread, within the backlog."""
+        reserved = self.subscriptions.try_reserve(
+            sub, len(wire), self.push_backlog
+        )
+        if reserved:
+            self._push_queue.put((sub, wire))
+        elif reserved is None and self._drop_subscriber(sub):
+            # Hanging up also unblocks any push write already in flight
+            # on this socket, so the pusher thread is not left waiting
+            # out its timeout on a peer that is being dropped anyway.
+            _hang_up(sub.connection)
 
-        Envelopes are built here, synchronously with the batch — the
-        session's maintenance report is still the one for *this* batch
-        — but the socket writes happen on the pusher thread so a slow
-        subscriber never blocks the mutating caller.
-        """
-        if not self.subscriptions.count():
-            return
-        deltas: Dict[Predicate, Tuple[list, list]] = {}
-        for predicate, delta in batch.deltas.items():
-            deltas[predicate] = (list(delta.added), list(delta.removed))
-        views = self.session.views
-        if views is not None:
-            report = views.last_report
-            if report is not None and report.batch is batch:
-                # Derived deltas override raw ones: when a predicate is
-                # both stored and derived, the maintained net change is
-                # the truthful one.
-                for predicate, (adds, dels) in report.derived.items():
-                    deltas[predicate] = (list(adds), list(dels))
-        for predicate, (adds, dels) in deltas.items():
-            if not adds and not dels:
-                continue
-            subs = self.subscriptions.for_predicate(predicate)
-            if not subs:
-                continue
-            envelope = {
-                "ok": True,
-                "verb": "DELTA",
-                "predicate": str(predicate),
-                "adds": [[str(value) for value in row] for row in adds],
-                "dels": [[str(value) for value in row] for row in dels],
-                "edb_version": batch.edb_version,
-            }
-            for sub in subs:
-                payload = dict(envelope)
-                payload["subscription"] = sub.id
-                wire = json.dumps(payload).encode("utf-8") + b"\n"
-                reserved = self.subscriptions.try_reserve(
-                    sub, len(wire), self.push_backlog
-                )
-                if reserved is False:
-                    continue  # already reaped; skip silently
-                if reserved is None:
-                    # Backlog overflow: the consumer is not keeping up.
-                    # Dropping the subscriber bounds server memory; the
-                    # shutdown() below unblocks any push write already
-                    # in flight on this socket so the pusher thread is
-                    # not left waiting out its timeout on a dead peer.
-                    self._drop_subscriber(sub)
-                    continue
-                self._push_queue.put((sub, wire))
-
-    def _drop_subscriber(self, sub: _Subscription) -> None:
-        if self.subscriptions.remove(sub.id) is None:
-            return
-        self.session.metrics.record_push_dropped()
-        self.session.metrics.record_disconnect()
-        try:
-            sub.connection.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+    def _subscription_changed(self, connection: socket.socket) -> None:
+        # Push channels are long-lived and mostly silent; the idle
+        # timeout would reap them mid-subscription.
+        if self.subscriptions.is_subscribed(connection):
+            connection.settimeout(None)
+        elif self.idle_timeout is not None:
+            connection.settimeout(self.idle_timeout)
 
     def _pusher_loop(self) -> None:
         while True:
@@ -852,98 +391,34 @@ class QueryServer:
                         sub.connection, payload, self.push_timeout
                     )
             except OSError as exc:
-                # Dead or stalled push channel (timeout counts): drop
-                # the subscription; the handler thread notices the
-                # close on its next read.
-                if self.subscriptions.remove(sub.id) is not None:
-                    if isinstance(exc, _PushTimeout):
-                        # A stall is a backpressure drop, not a peer
-                        # death; count it with the overflow drops.
-                        self.session.metrics.record_push_dropped()
-                    self.session.metrics.record_disconnect()
-                    try:
-                        sub.connection.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
+                # Dead or stalled push channel.  A stall is a
+                # backpressure drop, not a peer death; it is counted
+                # with the overflow drops.
+                if self._drop_subscriber(
+                    sub, backpressure=isinstance(exc, _PushTimeout)
+                ):
+                    _hang_up(sub.connection)
             finally:
                 self.subscriptions.release(sub, len(payload))
 
     # ------------------------------------------------------------------
-    # Request dispatch
+    # Budgeted evaluation
     # ------------------------------------------------------------------
-    def handle_line(
-        self, line: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        """Dispatch one request line to its verb handler.
+    def _evaluate(
+        self, verb: str, source: str, connection: Optional[socket.socket]
+    ) -> Dict[str, Any]:
+        request = {"source": source, "max_depth": self.max_depth}
+        if verb == "PLAN":
+            # Planning never runs long enough to need the wait loop.
+            return _serve_one(self.session, verb, request, None)
+        budget = self._request_budget()
+        future = self._pool.submit(
+            _serve_one, self.session, verb, request, budget
+        )
+        payload = self._await(future, budget, connection)
+        mark_stage("eval")
+        return payload
 
-        ``connection`` (when serving a real socket) lets long-running
-        verbs notice the peer vanishing and cancel the evaluation.
-        """
-        verb, _, argument = line.partition(" ")
-        verb = verb.upper()
-        argument = argument.strip()
-        set_verb(verb)
-        mark_stage("parse")
-        handler = {
-            "QUERY": self._do_query,
-            "PLAN": self._do_plan,
-            "FACT": self._do_fact,
-            "RETRACT": self._do_retract,
-            "SUBSCRIBE": self._do_subscribe,
-            "UNSUBSCRIBE": self._do_unsubscribe,
-            "STATS": self._do_stats,
-            "EXPLAIN": self._do_explain,
-            "TRACE": self._do_trace,
-            "METRICS": self._do_metrics,
-            "PROFILE": self._do_profile,
-            "SLOWLOG": self._do_slowlog,
-            "REQLOG": self._do_reqlog,
-            "HEALTH": self._do_health,
-            "RECORD": self._do_record,
-        }.get(verb)
-        if handler is None:
-            return _error_envelope(
-                verb, "ProtocolError", f"unknown verb {verb!r}; "
-                "expected QUERY, PLAN, FACT, RETRACT, SUBSCRIBE, "
-                "UNSUBSCRIBE, STATS, EXPLAIN, TRACE, METRICS, PROFILE, "
-                "SLOWLOG, REQLOG, HEALTH or RECORD"
-            )
-        metered = self.admission is not None and verb in HEAVY_VERBS
-        if metered and not self.admission.try_acquire(verb):
-            self.session.metrics.record_rejected(verb)
-            reply = _error_envelope(
-                verb, "Overloaded",
-                "server at capacity; retry after the indicated delay",
-            )
-            reply["retry_after"] = self.retry_after
-            return reply
-        mark_stage("admission")
-        try:
-            return handler(argument, connection)
-        except ClientDisconnected:
-            raise  # nothing to reply to; the handler closes the socket
-        except FutureTimeoutError:
-            self.session.metrics.record_timeout()
-            return _error_envelope(
-                verb, "Timeout", f"request exceeded {self.timeout}s budget"
-            )
-        except Exception as exc:  # envelope instead of a dead connection
-            self.session.metrics.record_error()
-            return _error_envelope(verb, type(exc).__name__, str(exc))
-        finally:
-            if metered:
-                self.admission.release(verb)
-
-    def _strip(self, argument: str) -> str:
-        if argument.startswith("?-"):
-            argument = argument[2:].strip()
-        if argument.endswith("."):
-            argument = argument[:-1]
-        return argument
-
-    # ------------------------------------------------------------------
-    # Budgeted evaluation helpers
-    # ------------------------------------------------------------------
     def _request_budget(self) -> Budget:
         """A fresh per-request budget — always one, even limitless,
         so the wait loop has a cancellation handle."""
@@ -1001,7 +476,7 @@ class QueryServer:
                 log_event(
                     _log, logging.INFO, "cancel",
                     reason="request timeout",
-                    request_id=getattr(budget, "request_id", None),
+                    request_id=budget.request_id,
                 )
                 raise FutureTimeoutError()
             if (
@@ -1016,400 +491,7 @@ class QueryServer:
                 log_event(
                     _log, logging.INFO, "cancel",
                     reason="client disconnected",
-                    request_id=getattr(budget, "request_id", None),
+                    request_id=budget.request_id,
                 )
                 self.session.metrics.record_disconnect()
                 raise ClientDisconnected("client disconnected mid-request")
-
-    def _degraded_reply(self, source: str, key: object) -> Dict[str, object]:
-        """Answer while the breaker is open: stale cached rows if any,
-        else an existence-only probe under a tight budget, else a
-        ``CircuitOpen`` envelope with ``retry_after``."""
-        cached = self.session.peek_cached(source)
-        if cached is not None:
-            plan, rows = cached
-            return {
-                "ok": True,
-                "verb": "QUERY",
-                "query": source,
-                "strategy": plan.strategy,
-                "answers": [[str(value) for value in row] for row in rows],
-                "count": len(rows),
-                "plan_cached": True,
-                "result_cached": True,
-                "degraded": "cached",
-            }
-        try:
-            found = self.session.exists(
-                source, budget=Budget(timeout=0.25, max_rounds=100_000)
-            )
-        except Exception:
-            pass  # even the probe is over budget (or unparsable)
-        else:
-            return {
-                "ok": True,
-                "verb": "QUERY",
-                "query": source,
-                "degraded": "existence",
-                "exists": found,
-                "answers": [],
-                "count": 0,
-            }
-        remaining = self.breaker.remaining(key) if self.breaker else 0.0
-        reply = _error_envelope(
-            "QUERY", "CircuitOpen",
-            "circuit open for this query shape after repeated budget "
-            f"blowouts; retry in {remaining:.2f}s",
-        )
-        reply["retry_after"] = remaining
-        return reply
-
-    def _do_query(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope("QUERY", "ProtocolError", "QUERY needs a query")
-        source = self._strip(argument)
-        key = None
-        if self.breaker is not None:
-            try:
-                key = self.session.plan_key(source)
-            except Exception:
-                key = None  # parse errors surface from execute below
-            if key is not None and not self.breaker.allow(key):
-                return self._degraded_reply(source, key)
-        budget = self._request_budget()
-        future = self._pool.submit(
-            self.session.execute, source, self.max_depth, budget
-        )
-        try:
-            result = self._await(future, budget, connection)
-            mark_stage("eval")
-        except BudgetExceeded as exc:
-            if self.breaker is not None and key is not None:
-                self.breaker.record_blowout(key)
-            if exc.reason == "deadline":
-                # The worker's own deadline races the wait loop's; both
-                # mean the same thing, so both render as Timeout.
-                self.session.metrics.record_timeout()
-                reply = _error_envelope("QUERY", "Timeout", str(exc))
-            else:
-                self.session.metrics.record_error()
-                reply = _error_envelope("QUERY", "BudgetExceeded", str(exc))
-            reply["budget"] = exc.as_dict()
-            reply["retry_after"] = self.retry_after
-            return reply
-        if self.breaker is not None and key is not None:
-            self.breaker.record_success(key)
-        return {
-            "ok": True,
-            "verb": "QUERY",
-            "query": source,
-            "strategy": result.strategy,
-            "answers": [[str(value) for value in row] for row in result.rows],
-            "count": len(result.rows),
-            "plan_cached": result.plan_cached,
-            "result_cached": result.result_cached,
-            "elapsed_ms": result.elapsed * 1e3,
-        }
-
-    def _do_plan(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope("PLAN", "ProtocolError", "PLAN needs a query")
-        plan, cached = self.session.plan(self._strip(argument))
-        return {
-            "ok": True,
-            "verb": "PLAN",
-            "strategy": plan.strategy,
-            "recursion_class": plan.recursion_class,
-            "plan": plan.explain(),
-            "cached": cached,
-        }
-
-    def _do_fact(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope("FACT", "ProtocolError", "FACT needs a clause")
-        clause = argument if argument.endswith(".") else argument + "."
-        rule = parse_rule(clause)
-        database = self.session.database
-        before = database.version
-        self.session.add_rule(rule)  # serializes with in-flight queries
-        return {
-            "ok": True,
-            "verb": "FACT",
-            "clause": str(rule),
-            "kind": "fact" if rule.is_fact() else "rule",
-            "added": database.version != before,
-            "edb_version": database.edb_version,
-            "idb_version": database.idb_version,
-        }
-
-    def _do_retract(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "RETRACT", "ProtocolError", "RETRACT needs a ground fact"
-            )
-        clause = argument if argument.endswith(".") else argument + "."
-        rule = parse_rule(clause)
-        if not rule.is_fact():
-            return _error_envelope(
-                "RETRACT", "ProtocolError",
-                "RETRACT takes a ground fact; rules cannot be retracted",
-            )
-        database = self.session.database
-        removed = self.session.retract_fact(rule.head.name, rule.head.args)
-        return {
-            "ok": True,
-            "verb": "RETRACT",
-            "clause": str(rule),
-            "removed": removed,
-            "edb_version": database.edb_version,
-            "idb_version": database.idb_version,
-        }
-
-    def _parse_predicate(self, argument: str) -> Predicate:
-        """``name/arity`` or a literal like ``sg(X, Y)`` → a Predicate."""
-        argument = self._strip(argument)
-        if "/" in argument:
-            name, _, arity_text = argument.partition("/")
-            return Predicate(name.strip(), int(arity_text.strip()))
-        rule = parse_rule(
-            argument if argument.endswith(".") else argument + "."
-        )
-        return rule.head.predicate
-
-    def _do_subscribe(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "SUBSCRIBE", "ProtocolError",
-                "SUBSCRIBE needs a predicate (name/arity or a literal)",
-            )
-        if connection is None:
-            return _error_envelope(
-                "SUBSCRIBE", "ProtocolError",
-                "SUBSCRIBE needs a live connection to push deltas to",
-            )
-        predicate = self._parse_predicate(argument)
-        problem = self.session.subscribable(predicate)
-        if problem is not None:
-            return _error_envelope("SUBSCRIBE", "Unsubscribable", problem)
-        sub = self.subscriptions.add(connection, predicate)
-        # Push channels are long-lived and mostly silent; the idle
-        # timeout would reap them mid-subscription.
-        connection.settimeout(None)
-        return {
-            "ok": True,
-            "verb": "SUBSCRIBE",
-            "subscription": sub.id,
-            "predicate": str(predicate),
-        }
-
-    def _do_unsubscribe(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        removed: List[int] = []
-        if argument:
-            sub_id = int(argument)
-            if self.subscriptions.remove(sub_id, connection=connection):
-                removed.append(sub_id)
-        elif connection is not None:
-            for sub_id in self.subscriptions.ids_for(connection):
-                if self.subscriptions.remove(sub_id, connection=connection):
-                    removed.append(sub_id)
-        if (
-            connection is not None
-            and removed
-            and not self.subscriptions.is_subscribed(connection)
-            and self.idle_timeout is not None
-        ):
-            connection.settimeout(self.idle_timeout)
-        return {"ok": True, "verb": "UNSUBSCRIBE", "removed": removed}
-
-    def _do_stats(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        return {"ok": True, "verb": "STATS", "stats": self.session.stats()}
-
-    def _do_explain(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "EXPLAIN", "ProtocolError", "EXPLAIN needs a query"
-            )
-        source = self._strip(argument)
-        budget = self._request_budget()
-        future = self._pool.submit(
-            self.session.explain, source, self.max_depth, budget
-        )
-        report = self._await(future, budget, connection)
-        return {"ok": True, "verb": "EXPLAIN", "trace": report}
-
-    def _do_trace(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if argument:
-            reply = self._do_explain(argument, connection)
-            reply["verb"] = "TRACE"
-            return reply
-        report = self.session.last_trace
-        if report is None:
-            return _error_envelope(
-                "TRACE", "NoTrace",
-                "no traced query yet; use EXPLAIN <query> or TRACE <query>",
-            )
-        return {"ok": True, "verb": "TRACE", "trace": report}
-
-    def _do_metrics(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        return {
-            "ok": True,
-            "verb": "METRICS",
-            "content_type": "text/plain; version=0.0.4",
-            "body": self.session.metrics_text(),
-        }
-
-    def _do_profile(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if not argument:
-            return _error_envelope(
-                "PROFILE", "ProtocolError", "PROFILE needs a query"
-            )
-        source = self._strip(argument)
-        budget = self._request_budget()
-        future = self._pool.submit(
-            self.session.profile, source, self.max_depth, budget=budget
-        )
-        report = self._await(future, budget, connection)
-        return {"ok": True, "verb": "PROFILE", "profile": report}
-
-    def _do_slowlog(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if argument.upper() == "CLEAR":
-            dropped = self.session.clear_slowlog()
-            return {"ok": True, "verb": "SLOWLOG", "cleared": dropped}
-        return {
-            "ok": True,
-            "verb": "SLOWLOG",
-            "threshold_ms": self.session.slow_query_ms,
-            "entries": self.session.slowlog(),
-        }
-
-    def _do_reqlog(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        if argument.upper() == "CLEAR":
-            dropped = self.session.lifecycle.clear()
-            return {"ok": True, "verb": "REQLOG", "cleared": dropped}
-        limit = None
-        if argument:
-            try:
-                limit = int(argument)
-            except ValueError:
-                return _error_envelope(
-                    "REQLOG", "ProtocolError",
-                    "REQLOG takes an optional integer limit, or CLEAR",
-                )
-        return {
-            "ok": True,
-            "verb": "REQLOG",
-            "size": self.session.lifecycle.size,
-            "records": self.session.reqlog(limit),
-        }
-
-    def _do_health(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        return {"ok": True, "verb": "HEALTH", "health": self.session.health()}
-
-    def _do_record(
-        self, argument: str, connection: Optional[socket.socket] = None
-    ) -> Dict[str, object]:
-        return _do_record_verb(self.session, argument)
-
-
-def _do_record_verb(session: QuerySession, argument: str) -> Dict[str, object]:
-    """RECORD START/STOP/STATUS — shared by both front ends.
-
-    The verb itself is never written to the archive (a replay would
-    re-start capture mid-replay), so control and capture compose.
-    """
-    action, _, rest = argument.partition(" ")
-    action = action.upper()
-    rest = rest.strip()
-    if action == "START":
-        if not rest:
-            return _error_envelope(
-                "RECORD", "ProtocolError", "RECORD START needs an archive path"
-            )
-        try:
-            info = session.start_capture(
-                rest, origin=session.lifecycle.origin
-            )
-        except (RuntimeError, OSError) as exc:
-            return _error_envelope("RECORD", "CaptureError", str(exc))
-        return {"ok": True, "verb": "RECORD", "recording": True, **info}
-    if action == "STOP":
-        if not session.capture.active:
-            return _error_envelope(
-                "RECORD", "CaptureError", "no capture is active"
-            )
-        summary = session.stop_capture()
-        return {"ok": True, "verb": "RECORD", "recording": False, **summary}
-    if action in ("", "STATUS"):
-        return {"ok": True, "verb": "RECORD", **session.capture.status()}
-    return _error_envelope(
-        "RECORD", "ProtocolError",
-        f"unknown RECORD action {action!r}; expected START <path>, "
-        "STOP or STATUS",
-    )
-
-
-def serve(
-    database: Database,
-    host: str = "127.0.0.1",
-    port: int = 8473,
-    timeout: Optional[float] = None,
-    max_depth: Optional[int] = None,
-    slow_query_ms: Optional[float] = None,
-    slowlog_size: int = 8,
-    reqlog_size: int = 256,
-    budget: Optional[Budget] = None,
-    max_pending: Optional[int] = 64,
-    idle_timeout: Optional[float] = None,
-    breaker_threshold: Optional[int] = 3,
-    breaker_cooldown: float = 5.0,
-    push_backlog: int = 1_048_576,
-    push_timeout: Optional[float] = 5.0,
-    ivm: bool = False,
-) -> QueryServer:
-    """Convenience: session + server, already listening (foreground
-    serving is the caller's ``serve_forever()`` call).  ``ivm=True``
-    turns on incremental view maintenance — cached results are repaired
-    instead of flushed on mutation, and SUBSCRIBE works for derived
-    predicates."""
-    return QueryServer(
-        QuerySession(
-            database, slow_query_ms=slow_query_ms, slowlog_size=slowlog_size,
-            reqlog_size=reqlog_size, ivm=ivm,
-        ),
-        host=host, port=port,
-        timeout=timeout, max_depth=max_depth,
-        budget=budget, max_pending=max_pending,
-        idle_timeout=idle_timeout,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
-        push_backlog=push_backlog,
-        push_timeout=push_timeout,
-    )

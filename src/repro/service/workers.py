@@ -147,13 +147,19 @@ def _render_rows(rows) -> List[List[str]]:
 def _serve_one(
     session: QuerySession, verb: str, payload: Dict[str, Any], budget: Budget
 ) -> Dict[str, Any]:
-    """One request, evaluated exactly like the in-process handlers."""
+    """Evaluate one QUERY/PLAN/EXPLAIN/PROFILE request into its
+    JSON-safe payload.
+
+    Every execution mode builds its payload here — the threaded
+    server's pool threads, the event loop's dispatch threads and the
+    forked workers — so rows are rendered, and reply fields named, in
+    exactly one place.
+    """
     source = payload["source"]
     max_depth = payload.get("max_depth")
     if verb == "QUERY":
-        slow_before = session.metrics.slow_queries
         result = session.execute(source, max_depth, budget)
-        reply = {
+        return {
             "strategy": result.strategy,
             "answers": _render_rows(result.rows),
             "count": len(result.rows),
@@ -166,17 +172,6 @@ def _serve_one(
                 else None
             ),
         }
-        # Slow-query forensics happen *here*, in the forked evaluator,
-        # whose slowlog dies with the worker.  Ship any entries this
-        # request produced back as an envelope sidecar; the dispatcher
-        # pops it before building the client reply and folds it into
-        # the parent session's ring (`adopt_slowlog`), so SLOWLOG /
-        # PROFILE cover pooled queries exactly like in-process ones.
-        added = session.metrics.slow_queries - slow_before
-        if added > 0:
-            entries = list(session._slowlog)[-added:]
-            reply["slowlog"] = entries
-        return reply
     if verb == "PLAN":
         start = time.perf_counter()
         plan, cached = session.plan(source)
@@ -188,10 +183,10 @@ def _serve_one(
             "elapsed": time.perf_counter() - start,
         }
     if verb == "EXPLAIN":
-        start = time.perf_counter()
-        report = session.explain(source, max_depth, budget)
-        return {"report": report, "elapsed": time.perf_counter() - start}
-    raise ValueError(f"worker cannot serve verb {verb!r}")
+        return {"report": session.explain(source, max_depth, budget)}
+    if verb == "PROFILE":
+        return {"report": session.profile(source, max_depth, budget=budget)}
+    raise ValueError(f"cannot evaluate verb {verb!r}")
 
 
 def _worker_main(
@@ -210,7 +205,7 @@ def _worker_main(
     evaluator state with the parent.  It inherits the parent's
     slow-query threshold so pooled queries are profiled under the same
     policy as in-process ones; the resulting entries cross back as the
-    reply sidecar (see :func:`_serve_one`).  ``reqlog_size=0``: the
+    reply sidecar.  ``reqlog_size=0``: the
     parent records the lifecycle, a per-worker ring would be dead
     weight.
     """
@@ -237,8 +232,20 @@ def _worker_main(
         # on the payload; carrying it on the budget lets the worker's
         # slowlog entries join the parent's REQLOG and chrome trace.
         budget.request_id = payload.get("request_id")
+        slow_before = session.metrics.slow_queries
         try:
-            reply = ("ok", seq, _serve_one(session, verb, payload, budget))
+            data = _serve_one(session, verb, payload, budget)
+            # Slow-query forensics happen *here*, in the forked
+            # evaluator, whose slowlog dies with the worker.  Ship any
+            # entries this request produced back as a payload sidecar;
+            # the dispatcher pops it before building the client reply
+            # and folds it into the parent session's ring
+            # (`adopt_slowlog`), so SLOWLOG / PROFILE cover pooled
+            # queries exactly like in-process ones.
+            added = session.metrics.slow_queries - slow_before
+            if added > 0:
+                data["slowlog"] = list(session._slowlog)[-added:]
+            reply = ("ok", seq, data)
         except BudgetExceeded as exc:
             reply = (
                 "budget",

@@ -7,9 +7,13 @@ under that directory and uploaded as a workflow artifact, so storm
 failures are diagnosable post-hoc instead of lost with the runner.
 """
 
+import io
+import logging
 import os
 
 import pytest
+
+from repro.observe.jsonlog import configure_logging
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -21,3 +25,17 @@ def pytest_runtest_makereport(item, call):
         from repro.observe import dump_diagnostics
 
         dump_diagnostics(directory, label=item.nodeid)
+
+
+@pytest.fixture
+def log_stream():
+    """The ``repro`` logger tree as JSON lines, at info level."""
+    stream = io.StringIO()
+    configure_logging(json_mode=True, level="info", stream=stream)
+    yield stream
+    # Restore the library default: handler removed, tree quiet.
+    root = logging.getLogger("repro")
+    for handler in list(root.handlers):
+        if getattr(handler, "_repro_handler", False):
+            root.removeHandler(handler)
+    root.setLevel(logging.WARNING)

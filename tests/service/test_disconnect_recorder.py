@@ -8,17 +8,12 @@ follow-up traffic, the disconnect counter moves, and the JSON log
 stream carries a ``cancel`` event joinable on ``request_id``.
 """
 
-import io
 import json
-import logging
 import socket
 import threading
 import time
 
-import pytest
-
 from repro.engine.database import Database
-from repro.observe.jsonlog import configure_logging
 from repro.service import QueryServer, QuerySession
 
 SOURCE = """
@@ -64,19 +59,6 @@ def _wait_for(predicate, timeout=8.0):
             return value
         time.sleep(0.02)
     return None
-
-
-@pytest.fixture
-def log_stream():
-    stream = io.StringIO()
-    configure_logging(json_mode=True, level="info", stream=stream)
-    yield stream
-    # Restore the library default: handler removed, tree quiet.
-    root = logging.getLogger("repro")
-    for handler in list(root.handlers):
-        if getattr(handler, "_repro_handler", False):
-            root.removeHandler(handler)
-    root.setLevel(logging.WARNING)
 
 
 def test_mid_reply_disconnect_commits_to_ring(log_stream):

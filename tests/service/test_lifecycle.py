@@ -326,8 +326,15 @@ class TestThreadedReqlog:
 
     def test_http_reqlog_route(self, server):
         Client(server).request("STATS")
-        head, body = http_get(server, "/reqlog")
-        assert "200 OK" in head
+        # The STATS record commits after its reply flushes, so the
+        # client can get here first: poll instead of racing it.
+        deadline = time.monotonic() + 5
+        while True:
+            head, body = http_get(server, "/reqlog")
+            assert "200 OK" in head
+            if json.loads(body) or time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
         assert json.loads(body)
 
 
