@@ -1,27 +1,17 @@
 #!/usr/bin/env python
-"""Async front-end benchmark: event loop + worker pool vs threads.
+"""Event-loop benchmark: idle connections are cheap.
 
-Two serving claims behind ``repro.service.eventloop``:
-
-1. **Concurrent query throughput.**  Heavy verbs dispatched to a
-   ``multiprocessing`` pool of forked evaluators use every core, where
-   the thread-per-connection server serializes CPU-bound evaluation
-   behind the GIL.  The case drives N concurrent clients through a
-   pool of distinct (cold) ``sg`` probes and compares aggregate QPS.
-   The acceptance bar — >= 2x aggregate QPS — only holds with real
-   parallelism, so ``--min-speedup`` gates **only on >= 4 cores**
-   (``--force-gate`` overrides); single-core CI still verifies both
-   servers complete the identical workload without errors.
-
-2. **Idle connections are cheap.**  The selectors loop holds a
-   thousand idle sockets without a thread each; the case opens them,
-   then measures probe latency through the crowd and the server-side
-   thread count.
+The selectors loop behind ``repro.service.eventloop`` holds a thousand
+idle sockets without a thread each; the case opens them, then measures
+probe latency through the crowd and the server-side thread count.
+(Query throughput and the worker pipe hop are the ledger's lanes:
+serve-cold ``qps``, ``service.wire_us`` and ``service.worker_hop_us``
+in ``benchmarks/ledger/``.)
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_async.py [--quick] \
-        [--min-speedup N] [--out FILE] [--update-baseline]
+        [--out FILE] [--update-baseline]
 
 ``BENCH_async.json`` in the repository root holds committed runs in
 the same ``{"benchmark": ..., "runs": {mode: report}}`` layout the
@@ -38,19 +28,16 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.service import AsyncQueryServer, QueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession
 from repro.service.workers import fork_available
 from repro.workloads import SG, FamilyConfig, family_database
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_async.json"
 
-#: Dense enough that one bound-first probe does real join work, wide
-#: enough to mint 120 distinct probes (no result-cache hits within a
-#: cold pass).
 CONFIG = FamilyConfig(
     levels=5,
     width=12,
@@ -63,87 +50,6 @@ CONFIG = FamilyConfig(
 
 def build_session() -> QuerySession:
     return QuerySession(family_database(CONFIG, program=SG))
-
-
-def query_pool() -> List[str]:
-    """Distinct probes: every person, bound on either side."""
-    names = [
-        f"p{level}_{i}"
-        for level in range(CONFIG.levels)
-        for i in range(CONFIG.width)
-    ]
-    return [f"sg({n}, Y)" for n in names] + [f"sg(X, {n})" for n in names]
-
-
-def _drive_clients(address, slices: List[List[str]]) -> float:
-    """Each slice runs request-response on its own connection; returns
-    wall milliseconds from the post-connect barrier to the last reply."""
-    barrier = threading.Barrier(len(slices) + 1)
-    failures: List[str] = []
-
-    def worker(lines: List[str]) -> None:
-        sock = socket.create_connection(address, timeout=60)
-        sock.settimeout(60)
-        handle = sock.makefile("rw", encoding="utf-8")
-        barrier.wait()
-        try:
-            for line in lines:
-                handle.write(line + "\n")
-                handle.flush()
-                reply = json.loads(handle.readline())
-                if not reply.get("ok"):
-                    failures.append(line)
-        finally:
-            sock.close()
-
-    threads = [threading.Thread(target=worker, args=(s,)) for s in slices]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall = (time.perf_counter() - start) * 1000
-    if failures:
-        raise AssertionError(f"{len(failures)} failed requests: {failures[:3]}")
-    return wall
-
-
-def run_qps_case(clients: int, per_client: int) -> Dict[str, object]:
-    pool = query_pool()
-    total = clients * per_client
-    if total > len(pool):
-        raise AssertionError(
-            f"need {total} distinct probes, have {len(pool)}"
-        )
-    slices = [
-        [f"QUERY {pool[c * per_client + i]}" for i in range(per_client)]
-        for c in range(clients)
-    ]
-    workers = os.cpu_count() or 1
-
-    with QueryServer(build_session(), port=0) as threaded:
-        threaded_wall = _drive_clients(threaded.address, slices)
-    with AsyncQueryServer(build_session(), workers=workers) as pooled:
-        pooled_wall = _drive_clients(pooled.address, slices)
-
-    threaded_qps = total / max(threaded_wall / 1000, 1e-9)
-    pooled_qps = total / max(pooled_wall / 1000, 1e-9)
-    return {
-        "case": "concurrent_cold_qps",
-        "clients": clients,
-        "requests": total,
-        "threaded": {
-            "wall_ms": round(threaded_wall, 3),
-            "qps": round(threaded_qps, 1),
-        },
-        "eventloop": {
-            "wall_ms": round(pooled_wall, 3),
-            "qps": round(pooled_qps, 1),
-            "workers": workers,
-        },
-        "speedup": round(pooled_qps / max(threaded_qps, 1e-9), 2),
-    }
 
 
 def run_idle_case(connections: int) -> Dict[str, object]:
@@ -180,18 +86,14 @@ def run_idle_case(connections: int) -> Dict[str, object]:
 
 
 def run_bench(quick: bool) -> Dict[str, object]:
-    clients, per_client = (4, 10) if quick else (8, 15)
     idle = 300 if quick else 1000
     return {
-        "benchmark": "async: event loop + worker pool vs thread-per-conn",
+        "benchmark": "async: idle connections on the event loop",
         "quick": quick,
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "fork": fork_available(),
-        "cases": [
-            run_qps_case(clients, per_client),
-            run_idle_case(idle),
-        ],
+        "cases": [run_idle_case(idle)],
     }
 
 
@@ -216,19 +118,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fewer clients/requests and 300 idle connections (CI smoke)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero unless the QPS speedup meets this bar; only "
-        "enforced on >= 4 cores (the acceptance target there is 2)",
-    )
-    parser.add_argument(
-        "--force-gate",
-        action="store_true",
-        help="enforce --min-speedup regardless of core count",
+        help="300 idle connections instead of 1000 (CI smoke)",
     )
     parser.add_argument(
         "--out",
@@ -258,23 +148,6 @@ def main(argv=None) -> int:
             f"baseline updated: {DEFAULT_BASELINE} "
             f"[{'quick' if args.quick else 'full'}]"
         )
-    if args.min_speedup is not None:
-        cores = os.cpu_count() or 1
-        if cores < 4 and not args.force_gate:
-            print(
-                f"speedup gate skipped: {cores} core(s) < 4 "
-                "(parallel dispatch cannot help; workload still verified)",
-                file=sys.stderr,
-            )
-        else:
-            case = report["cases"][0]
-            if case["speedup"] < args.min_speedup:
-                print(
-                    f"{case['case']}: speedup {case['speedup']}x below "
-                    f"the {args.min_speedup}x gate",
-                    file=sys.stderr,
-                )
-                return 1
     return 0
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.planner import Planner
 from repro.engine.database import Database
-from repro.service import QueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession
 from repro.workloads import (
     SCSG,
     SG,
@@ -125,7 +125,7 @@ def test_server_throughput(benchmark):
             """
         )
         rows = []
-        with QueryServer(QuerySession(db), port=0) as server:
+        with AsyncQueryServer(QuerySession(db), workers=0) as server:
             sock = socket.create_connection(server.address, timeout=10)
             io = sock.makefile("rw", encoding="utf-8")
 

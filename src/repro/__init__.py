@@ -77,7 +77,6 @@ from .resilience import (
 from .service import (
     AsyncQueryServer,
     QueryResult,
-    QueryServer,
     QuerySession,
     ServiceMetrics,
     WorkerPool,
@@ -109,7 +108,6 @@ __all__ = [
     "Program",
     "QueryPlan",
     "QueryResult",
-    "QueryServer",
     "QuerySession",
     "Relation",
     "Rule",

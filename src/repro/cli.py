@@ -47,7 +47,7 @@ from typing import IO, List, Optional, Sequence
 from .engine.database import Database
 from .engine.proofs import ProofTracer
 from .core.planner import PlanningError
-from .service import QueryServer, QuerySession
+from .service import AsyncQueryServer, QuerySession
 
 __all__ = ["main", "build_parser"]
 
@@ -246,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threaded",
         action="store_true",
-        help="use the thread-per-connection server for --serve instead "
-        "of the event-loop front end",
+        help=argparse.SUPPRESS,  # deprecated spelling of --workers 0
     )
     parser.add_argument(
         "--push-backlog",
@@ -256,14 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="per-subscriber cap on buffered DELTA bytes; a consumer "
         "that falls further behind is dropped (default 1MiB)",
-    )
-    parser.add_argument(
-        "--push-timeout",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="with --threaded: bound on any single push write before "
-        "the stalled subscriber is reaped (default 5)",
     )
     parser.add_argument(
         "--breaker-threshold",
@@ -969,13 +960,23 @@ def main(
             push_backlog=args.push_backlog,
         )
         if args.threaded:
-            server = QueryServer(
-                session, push_timeout=args.push_timeout, **common
+            print(
+                "note: --threaded is deprecated; the event loop serves "
+                "with --workers 0 instead",
+                file=sys.stderr,
             )
-        else:
-            from .service.eventloop import AsyncQueryServer
-
+            if args.workers is None:
+                args.workers = 0
+        try:
             server = AsyncQueryServer(session, workers=args.workers, **common)
+        except OSError as exc:
+            print(
+                f"error: cannot listen on {args.host}:{args.port}: {exc}",
+                file=out,
+            )
+            if manager is not None:
+                manager.close()
+            return 1
         if args.record is not None:
             try:
                 info = session.start_capture(

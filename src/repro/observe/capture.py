@@ -3,7 +3,7 @@
 A serving session's traffic is the most honest benchmark there is —
 the sg/scsg workload generators approximate it, but a recorded stream
 *is* it.  This module persists one: a :class:`WorkloadRecorder` rides
-the request lifecycle tap in both servers (threaded and event-loop)
+the server's request lifecycle tap
 and appends every completed request to a compact, versioned JSONL
 archive that :mod:`repro.observe.replay` can later drive against a
 fresh server at recorded, accelerated, or max pacing.

@@ -288,8 +288,7 @@ def prometheus_text(stats: Dict[str, object], namespace: str = "repro") -> str:
     if "push_dropped" in stats:
         w.counter(
             "push_dropped_total",
-            "Subscribers dropped for overflowing their push backlog or "
-            "stalling past the push send timeout.",
+            "Subscribers dropped for overflowing their push backlog.",
             stats.get("push_dropped", 0),
         )
 

@@ -138,9 +138,8 @@ class _InProcessDriver:
 
     Admission control, the circuit breaker, and evaluation timeouts
     are disabled: a replay must reproduce the recorded stream, not
-    shed it the way a protecting server would.  ``AsyncQueryServer``
-    is used (not the threaded server) because its ``shutdown()`` is
-    safe without ``start()``.
+    shed it the way a protecting server would.  The server is never
+    ``start()``-ed; its ``shutdown()`` is safe without it.
     """
 
     def __init__(self, session):

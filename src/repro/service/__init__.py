@@ -5,16 +5,14 @@ Turns the one-shot library into a compile-once/serve-many system:
 :class:`~repro.core.planner.Planner` plus plan and result caches with
 version-counter invalidation; :mod:`repro.service.protocol` defines
 the TCP line protocol (``QUERY``/``PLAN``/``FACT``/``STATS``/...)
-once; :class:`QueryServer` serves it from one thread per connection
-and :class:`AsyncQueryServer` from a ``selectors`` event loop that
-dispatches heavy verbs to a :class:`WorkerPool` of forked evaluator
-processes; :class:`ServiceMetrics` aggregates per-query latency, cache hit rates
+once; :class:`AsyncQueryServer` serves it from a ``selectors`` event
+loop that dispatches heavy verbs to a :class:`WorkerPool` of forked
+evaluator processes; :class:`ServiceMetrics` aggregates per-query latency, cache hit rates
 and strategy usage.  See ``docs/service.md``.
 """
 
 from .metrics import LatencyStats, ServiceMetrics
 from .session import QueryResult, QuerySession
-from .server import QueryServer
 from .eventloop import AsyncQueryServer
 from .workers import WorkerPool, fork_available
 
@@ -22,7 +20,6 @@ __all__ = [
     "AsyncQueryServer",
     "LatencyStats",
     "QueryResult",
-    "QueryServer",
     "QuerySession",
     "ServiceMetrics",
     "WorkerPool",

@@ -1,23 +1,21 @@
 """The event-loop transport: one selector loop, evaluator workers.
 
-The threaded transport (:mod:`repro.service.server`) spends one OS
-thread per connection — fine for tens of clients, hopeless for
-thousands of mostly-idle subscribers — and evaluates every fixpoint
-under the GIL.  :class:`AsyncQueryServer` serves the same
+:class:`AsyncQueryServer` is the one transport under
 :class:`~repro.service.protocol.ProtocolCore` (verbs, envelopes and
-resilience ladder are defined there, once) over different machinery:
+resilience ladder are defined there, once).  A thread per connection
+would be hopeless for thousands of mostly-idle subscribers and would
+evaluate every fixpoint under the GIL, so the machinery is:
 
 * **One event loop** (``selectors.DefaultSelector``) owns every socket.
   An idle connection costs one registered file descriptor and ~1 KiB of
   buffers, so thousands of idle clients fit in the default fd limit.
-  Peer disconnects arrive as readiness events (``recv() == b""``)
-  instead of the threaded server's per-poll ``MSG_PEEK`` probe.
-* **Bounded per-connection outboxes** replace the pusher thread:
-  replies and DELTA pushes are appended to the connection's outbox and
-  drained when the socket reports writable.  A subscriber that stops
-  reading accumulates backlog until ``push_backlog`` bytes, then is
-  dropped (``repro_push_dropped_total``) — it never blocks the loop,
-  other subscribers, or replies.
+  Peer disconnects arrive as readiness events (``recv() == b""``).
+* **Bounded per-connection outboxes**: replies and DELTA pushes are
+  appended to the connection's outbox and drained when the socket
+  reports writable.  A subscriber that stops reading accumulates
+  backlog until ``push_backlog`` bytes, then is dropped
+  (``repro_push_dropped_total``) — it never blocks the loop, other
+  subscribers, or replies.
 * **A dispatch thread pool** runs verb handlers off-loop, so a slow
   STATS or a saturated admission queue never stalls socket I/O.
   Requests on one connection stay strictly ordered (one in flight,
@@ -40,6 +38,7 @@ and ``repro_worker_restarts_total`` via the pool's snapshot provider.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import selectors
 import socket
@@ -91,6 +90,15 @@ _READ_CHUNK = 65536
 
 #: Upper bound on one selector cycle, so the idle sweep always runs.
 _TICK = 0.2
+
+
+def _cancel_for_peer(budget: Budget, reason: str) -> None:
+    """Abort the evaluation of a request whose client is gone."""
+    budget.cancel("client disconnected")
+    log_event(
+        _log, logging.INFO, "cancel",
+        reason=reason, request_id=budget.request_id,
+    )
 
 
 class _Connection:
@@ -146,9 +154,8 @@ class AsyncQueryServer(ProtocolCore):
     evaluator processes serve the heavy verbs (``0`` = evaluate
     in-process), ``dispatch_threads`` bounds concurrent verb handling
     (and, by default, concurrent ``QUERY``\\ s), ``push_backlog`` caps
-    each connection's outbox, and there is no ``push_timeout`` — a
-    stalled subscriber is detected by backlog growth, not blocked
-    writes.
+    each connection's outbox — a stalled subscriber is detected by
+    backlog growth, never by a blocked write.
     """
 
     ORIGIN = "async"
@@ -179,41 +186,55 @@ class AsyncQueryServer(ProtocolCore):
         if dispatch_threads is None:
             dispatch_threads = max(8, workers + 4)
         self.dispatch_threads = dispatch_threads
-        super().__init__(
-            session,
-            timeout=timeout,
-            max_depth=max_depth,
-            budget=budget,
-            max_pending=max_pending,
-            verb_limits=(
-                verb_limits if verb_limits is not None
-                else {"QUERY": dispatch_threads}
-            ),
-            retry_after=retry_after,
-            idle_timeout=idle_timeout,
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown=breaker_cooldown,
-            push_backlog=push_backlog,
-        )
-        self.pool: Optional[WorkerPool] = None
-        if workers > 0 and fork_available():
-            self.pool = WorkerPool(session, workers, kill_grace=kill_grace)
-            session.metrics.worker_provider = self.pool.snapshot
+        with contextlib.ExitStack() as undo:
+            # Bind before anything is registered on the session or
+            # forked: a busy port must fail with no worker process and
+            # no database listener left behind.
+            self._listen = undo.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            )
+            self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listen.bind((host, port))
+            self._listen.listen(1024)
+            self._listen.setblocking(False)
+            self._selector = undo.enter_context(selectors.DefaultSelector())
+            self._selector.register(
+                self._listen, selectors.EVENT_READ, "listen"
+            )
+            # Wake pipe: dispatch threads poke the loop after touching
+            # an outbox so write interest is (re)registered promptly.
+            self._wake_r, self._wake_w = map(
+                undo.enter_context, socket.socketpair()
+            )
+            self._wake_r.setblocking(False)
+            self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
+            super().__init__(
+                session,
+                timeout=timeout,
+                max_depth=max_depth,
+                budget=budget,
+                max_pending=max_pending,
+                verb_limits=(
+                    verb_limits if verb_limits is not None
+                    else {"QUERY": dispatch_threads}
+                ),
+                retry_after=retry_after,
+                idle_timeout=idle_timeout,
+                breaker_threshold=breaker_threshold,
+                breaker_cooldown=breaker_cooldown,
+                push_backlog=push_backlog,
+            )
+            undo.callback(
+                session.database.remove_mutation_listener, self._on_mutation
+            )
+            self.pool: Optional[WorkerPool] = None
+            if workers > 0 and fork_available():
+                self.pool = WorkerPool(session, workers, kill_grace=kill_grace)
+                session.metrics.worker_provider = self.pool.snapshot
+            undo.pop_all()
         self._executor = ThreadPoolExecutor(
             max_workers=dispatch_threads, thread_name_prefix="repro-dispatch"
         )
-        self._selector = selectors.DefaultSelector()
-        self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listen.bind((host, port))
-        self._listen.listen(1024)
-        self._listen.setblocking(False)
-        self._selector.register(self._listen, selectors.EVENT_READ, "listen")
-        # Wake pipe: dispatch threads poke the loop after touching an
-        # outbox so write interest is (re)registered promptly.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._conns: set = set()
         #: Connections whose outbox/interest changed off-loop, and
         #: connections a dispatch thread asked to close.
@@ -251,7 +272,7 @@ class AsyncQueryServer(ProtocolCore):
         """Ask :meth:`serve_forever` to return; safe from a signal
         handler (just an Event set plus a self-pipe write).  The
         caller's ``finally: server.shutdown()`` then runs the one real
-        teardown path — same contract as the threaded server."""
+        teardown path."""
         self._stop.set()
         self._wake()
 
@@ -484,21 +505,15 @@ class AsyncQueryServer(ProtocolCore):
             conn.gone = True
             budget = conn.budget
         if budget is not None:
-            budget.cancel("client disconnected")
-            log_event(
-                _log, logging.INFO, "cancel",
-                reason="peer lost",
-                request_id=budget.request_id,
-            )
+            _cancel_for_peer(budget, "peer lost")
         self._close_conn(conn)
 
     def _on_eof(self, conn: _Connection) -> None:
         """Orderly EOF: this is the readiness-event disconnect signal.
 
-        Queued (pipelined) requests still get served — the threaded
-        server would have processed them too before noticing the close
-        — but with nothing queued the in-flight request is cancelled
-        right away, replacing the ``MSG_PEEK`` probe.
+        Queued (pipelined) requests still get served — the peer sent
+        them before closing — but with nothing queued the in-flight
+        request is cancelled right away.
         """
         with conn.lock:
             conn.eof = True
@@ -508,12 +523,7 @@ class AsyncQueryServer(ProtocolCore):
             if not conn.requests:
                 conn.gone = True
         if conn.gone and budget is not None:
-            budget.cancel("client disconnected")
-            log_event(
-                _log, logging.INFO, "cancel",
-                reason="client disconnected",
-                request_id=budget.request_id,
-            )
+            _cancel_for_peer(budget, "client disconnected")
         if not has_queued:
             if flushing:
                 conn.close_after_flush = True
@@ -756,9 +766,12 @@ class AsyncQueryServer(ProtocolCore):
         budget.request_id = current_id()
         if conn is not None:
             with conn.lock:
-                if conn.gone:
-                    budget.cancel("client disconnected")
+                gone = conn.gone
                 conn.budget = budget
+            if gone:
+                # The EOF beat the evaluation here, so the loop found
+                # no budget to cancel: same cancel, same log event.
+                _cancel_for_peer(budget, "client disconnected")
         return budget
 
     def _clear_budget(self, conn: Optional[_Connection]) -> None:
@@ -775,7 +788,7 @@ class AsyncQueryServer(ProtocolCore):
         self, exc: BudgetExceeded, conn: Optional[_Connection]
     ) -> None:
         """In-process fallback: map a cancelled/deadline blowout onto
-        the threaded server's surface (disconnect / Timeout)."""
+        the surface the worker pool gives (disconnect / Timeout)."""
         if exc.reason == "cancelled" and "client disconnected" in str(exc):
             self.session.metrics.record_disconnect()
             raise ClientDisconnected("client disconnected mid-request")
@@ -785,8 +798,8 @@ class AsyncQueryServer(ProtocolCore):
             and self.timeout is not None
         ):
             # The deadline was purely the server timeout we injected;
-            # the threaded server would have rendered this as Timeout
-            # without a budget envelope.
+            # the pooled path renders that as Timeout without a budget
+            # envelope.
             raise FutureTimeoutError()
 
     def _pool_execute(

@@ -176,8 +176,7 @@ class ServiceMetrics:
         #: Clients that vanished mid-request (write failed or the peer
         #: closed while the query was still running).
         self.disconnects = 0
-        #: Subscribers dropped because their push backlog overflowed or
-        #: a push write stayed blocked past the send timeout.
+        #: Subscribers dropped because their push backlog overflowed.
         self.push_dropped = 0
         #: Optional zero-arg callable returning the evaluator worker
         #: pool's gauge snapshot (size/queue depth/restarts); installed

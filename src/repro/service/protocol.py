@@ -1,4 +1,4 @@
-"""The line protocol, defined once under both transports.
+"""The line protocol, defined once under the socket transport.
 
 Protocol: one request per line, one JSON reply envelope per line.
 
@@ -96,13 +96,11 @@ may have at most ``push_backlog`` bytes of undelivered DELTA payload;
 overflowing it drops the subscriber and bumps
 ``repro_push_dropped_total``.
 
-:class:`ProtocolCore` owns all of the above.  A transport
-(:class:`~repro.service.server.QueryServer`, one thread per
-connection; :class:`~repro.service.eventloop.AsyncQueryServer`, one
-selector loop) subclasses it, keeps only its socket machinery, and
-implements three hooks: :meth:`~ProtocolCore._evaluate` (run a heavy
-verb), :meth:`~ProtocolCore._push` (deliver one DELTA line) and
-:meth:`~ProtocolCore._subscription_changed`.
+:class:`ProtocolCore` owns all of the above.  The transport
+(:class:`~repro.service.eventloop.AsyncQueryServer`, one selector
+loop) subclasses it, keeps only its socket machinery, and implements
+two hooks: :meth:`~ProtocolCore._evaluate` (run a heavy verb) and
+:meth:`~ProtocolCore._push` (deliver one DELTA line).
 """
 
 from __future__ import annotations
@@ -193,7 +191,7 @@ def _error_envelope(verb: str, exc_type: str, message: str) -> Dict[str, object]
 
 
 #: The one reply to a request line over :data:`MAX_LINE_BYTES` (never
-#: recorded or captured, so both transports send these bytes as is).
+#: recorded or captured, so the transport sends these bytes as is).
 OVERSIZED_WIRE = json.dumps(
     _error_envelope(
         "?", "ProtocolError", f"request line over {MAX_LINE_BYTES} bytes"
@@ -256,54 +254,27 @@ def http_response(session: QuerySession, raw: bytes) -> bytes:
 class _Subscription:
     """One SUBSCRIBE registration: a predicate feeding one connection."""
 
-    __slots__ = ("id", "predicate", "connection", "lock", "pending_bytes")
+    __slots__ = ("id", "predicate", "connection")
 
-    def __init__(
-        self,
-        sub_id: int,
-        predicate: Predicate,
-        connection,
-        lock: threading.Lock,
-    ):
+    def __init__(self, sub_id: int, predicate: Predicate, connection):
         self.id = sub_id
         self.predicate = predicate
         self.connection = connection
-        self.lock = lock
-        #: Bytes of DELTA payload enqueued for this subscriber but not
-        #: yet written to its socket — the per-subscriber backlog that
-        #: ``push_backlog`` caps.
-        self.pending_bytes = 0
 
 
 class _Subscriptions:
-    """Thread-safe registry of live subscriptions.
-
-    ``connection`` is whatever object the transport identifies a client
-    by.  Also owns the per-connection write locks that serialize
-    request replies against pushed DELTA lines on the same socket.
-    """
+    """Thread-safe registry of live subscriptions; ``connection`` is
+    whatever object the transport identifies a client by."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._next_id = 1
         self._by_id: Dict[int, _Subscription] = {}
         self._by_conn: Dict[object, List[int]] = {}
-        self._conn_locks: Dict[object, threading.Lock] = {}
-
-    def lock_for(self, connection) -> threading.Lock:
-        with self._lock:
-            lock = self._conn_locks.get(connection)
-            if lock is None:
-                lock = threading.Lock()
-                self._conn_locks[connection] = lock
-            return lock
 
     def add(self, connection, predicate: Predicate) -> _Subscription:
-        write_lock = self.lock_for(connection)
         with self._lock:
-            sub = _Subscription(
-                self._next_id, predicate, connection, write_lock
-            )
+            sub = _Subscription(self._next_id, predicate, connection)
             self._next_id += 1
             self._by_id[sub.id] = sub
             self._by_conn.setdefault(connection, []).append(sub.id)
@@ -329,43 +300,16 @@ class _Subscriptions:
             return sub
 
     def drop_connection(self, connection) -> List[int]:
-        """The connection closed: forget its subscriptions and lock."""
+        """The connection closed: forget its subscriptions."""
         with self._lock:
             ids = self._by_conn.pop(connection, [])
             for sub_id in ids:
                 self._by_id.pop(sub_id, None)
-            self._conn_locks.pop(connection, None)
             return ids
 
     def ids_for(self, connection) -> List[int]:
         with self._lock:
             return list(self._by_conn.get(connection, ()))
-
-    def is_live(self, sub: _Subscription) -> bool:
-        """Is this exact registration still current?"""
-        with self._lock:
-            return self._by_id.get(sub.id) is sub
-
-    def try_reserve(self, sub: _Subscription, nbytes: int, cap: int):
-        """Account ``nbytes`` of pending push payload for ``sub``.
-
-        Returns ``True`` when reserved, ``False`` when the subscription
-        is already gone, and ``None`` when the reservation would push
-        the subscriber past ``cap`` — the overflow signal that makes
-        the caller drop the subscriber instead of buffering unbounded.
-        """
-        with self._lock:
-            if self._by_id.get(sub.id) is not sub:
-                return False
-            if sub.pending_bytes + nbytes > cap:
-                return None
-            sub.pending_bytes += nbytes
-            return True
-
-    def release(self, sub: _Subscription, nbytes: int) -> None:
-        """``nbytes`` of backlog were written (or abandoned)."""
-        with self._lock:
-            sub.pending_bytes = max(0, sub.pending_bytes - nbytes)
 
     def is_subscribed(self, connection) -> bool:
         with self._lock:
@@ -401,9 +345,8 @@ class ProtocolCore:
     ``breaker_cooldown`` seconds (None disables the breaker).
     ``push_backlog`` caps each subscriber's undelivered DELTA bytes.
 
-    A transport subclass sets :attr:`ORIGIN`, implements the three
-    hooks (:meth:`_evaluate`, :meth:`_push`,
-    :meth:`_subscription_changed`) and its own lifecycle
+    The transport subclass sets :attr:`ORIGIN`, implements the two
+    hooks (:meth:`_evaluate`, :meth:`_push`) and its own lifecycle
     (``address``/``serve_forever``/``start``/``request_shutdown``/
     :meth:`_stop_transport`), and feeds request lines to
     :meth:`_respond`.
@@ -499,9 +442,6 @@ class ProtocolCore:
         would pass ``push_backlog``, report it with
         :meth:`_drop_subscriber` and hang up on the connection."""
         raise NotImplementedError
-
-    def _subscription_changed(self, connection) -> None:
-        """``connection`` just gained or lost subscriptions."""
 
     def _stop_transport(self) -> None:
         """Stop accepting, stop the serve loop, close every socket."""
@@ -847,7 +787,6 @@ class ProtocolCore:
         if problem is not None:
             return _error_envelope("SUBSCRIBE", "Unsubscribable", problem)
         sub = self.subscriptions.add(connection, predicate)
-        self._subscription_changed(connection)
         return {
             "ok": True,
             "verb": "SUBSCRIBE",
@@ -874,8 +813,6 @@ class ProtocolCore:
             sub_id for sub_id in candidates
             if self.subscriptions.remove(sub_id, connection=connection)
         ]
-        if connection is not None and removed:
-            self._subscription_changed(connection)
         return {"ok": True, "verb": "UNSUBSCRIBE", "removed": removed}
 
     def _on_mutation(self, batch: MutationBatch) -> None:
@@ -919,23 +856,19 @@ class ProtocolCore:
                 payload["subscription"] = sub.id
                 self._push(sub, json.dumps(payload).encode("utf-8") + b"\n")
 
-    def _drop_subscriber(
-        self, sub: _Subscription, backpressure: bool = True
-    ) -> bool:
-        """Forget a subscriber whose push channel overflowed, stalled
-        (``backpressure``) or died.  Returns ``False`` when it was
-        already gone; otherwise the accounting is done and the calling
-        transport hangs up on ``sub.connection``.  Dropping bounds
-        server memory: a consumer that is not keeping up must not grow
-        a backlog without limit."""
+    def _drop_subscriber(self, sub: _Subscription) -> bool:
+        """Forget a subscriber whose push channel overflowed.  Returns
+        ``False`` when it was already gone; otherwise the accounting is
+        done and the transport hangs up on ``sub.connection``.
+        Dropping bounds server memory: a consumer that is not keeping
+        up must not grow a backlog without limit."""
         if self.subscriptions.remove(sub.id) is None:
             return False
-        if backpressure:
-            self.session.metrics.record_push_dropped()
-            log_event(
-                _log, logging.INFO, "push_drop",
-                subscription=sub.id, predicate=str(sub.predicate),
-            )
+        self.session.metrics.record_push_dropped()
+        log_event(
+            _log, logging.INFO, "push_drop",
+            subscription=sub.id, predicate=str(sub.predicate),
+        )
         self.session.metrics.record_disconnect()
         return True
 

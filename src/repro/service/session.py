@@ -34,9 +34,9 @@ straight from the materialized view.  See :mod:`repro.ivm` and
 
 A session is thread-safe: one re-entrant lock serializes planning and
 evaluation (the evaluators share mutable relation state), while cache
-hits return under the same lock in microseconds.  Many server threads
-therefore share a single session, which is exactly how
-:class:`~repro.service.server.QueryServer` uses it.
+hits return under the same lock in microseconds.  Many dispatch
+threads therefore share a single session, which is exactly how
+:class:`~repro.service.eventloop.AsyncQueryServer` uses it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """A multiprocessing pool of evaluator workers over forked snapshots.
 
-The GIL caps the threaded server at one core of fixpoint evaluation no
-matter how many handler threads it runs.  This module moves the heavy
+The GIL caps in-process serving at one core of fixpoint evaluation no
+matter how many dispatch threads run.  This module moves the heavy
 verbs (QUERY / PLAN / EXPLAIN) into separate *processes*: each worker
 is forked from the serving process and inherits the
 :class:`~repro.engine.database.Database` as a copy-on-write snapshot,
@@ -16,14 +16,14 @@ IDB version) it forked at; before every dispatch it compares them to
 the live database and, on drift, forks a *new generation* of workers.
 Old workers that are mid-request finish their request on the old
 snapshot — exactly the answer a request admitted before the mutation
-would have produced under the threaded server's session lock — and are
+would have produced in-process under the session lock — and are
 retired when they reply instead of rejoining the pool.  Forks always
 happen while holding the parent session's lock, so a snapshot can
 never capture a mutation in flight.
 
 **Result parity.**  A worker runs a plain
 :class:`~repro.service.session.QuerySession` over the inherited
-database and executes exactly the code path the threaded server runs
+database and executes exactly the code path ``workers=0`` runs
 in-process.  Answers are rendered to strings in the worker and cross
 the pipe as JSON-safe payloads; counters cross as dicts and are
 rebuilt with ``Counters(**d)``; a blown budget crosses as its
@@ -96,8 +96,8 @@ class RemoteEvaluationError(RuntimeError):
     """An exception raised inside an evaluator worker.
 
     Carries the original exception's type name and message so the
-    dispatcher can build the same error envelope the threaded server
-    would have built for the in-process raise.
+    dispatcher can build the same error envelope an in-process raise
+    would have produced.
     """
 
     def __init__(self, exc_type: str, message: str):
@@ -150,10 +150,9 @@ def _serve_one(
     """Evaluate one QUERY/PLAN/EXPLAIN/PROFILE request into its
     JSON-safe payload.
 
-    Every execution mode builds its payload here — the threaded
-    server's pool threads, the event loop's dispatch threads and the
-    forked workers — so rows are rendered, and reply fields named, in
-    exactly one place.
+    Both execution modes build their payload here — the event loop's
+    dispatch threads and the forked workers — so rows are rendered,
+    and reply fields named, in exactly one place.
     """
     source = payload["source"]
     max_depth = payload.get("max_depth")
@@ -193,6 +192,7 @@ def _worker_main(
     database: Database,
     max_depth,
     pipe,
+    parent_pipe,
     cancel_seq,
     cancel_code,
     slow_query_ms=None,
@@ -209,6 +209,10 @@ def _worker_main(
     parent records the lifecycle, a per-worker ring would be dead
     weight.
     """
+    # The fork copied the parent's end of the pipe too; while this copy
+    # is open a SIGKILLed parent never reads as EOF below, and the
+    # worker would outlive it (holding the listening socket and WAL).
+    parent_pipe.close()
     session = QuerySession(
         database,
         max_depth=max_depth,
@@ -429,6 +433,7 @@ class WorkerPool:
                     self.session.database,
                     self.session.planner.max_depth,
                     child_pipe,
+                    pipe,
                     cancel_seq,
                     cancel_code,
                     self.session.slow_query_ms,
@@ -570,8 +575,7 @@ class WorkerPool:
     ) -> Dict[str, Any]:
         """Run one heavy verb on a worker; blocks the calling thread.
 
-        Mirrors the threaded server's ``_await`` contract: raises
-        :class:`concurrent.futures.TimeoutError` when ``timeout``
+        Raises :class:`concurrent.futures.TimeoutError` when ``timeout``
         passes (the worker is cancelled remotely, then killed if it
         ignores the flag), lets ``peer_gone()`` abort the request the
         same way, re-raises a worker-side

@@ -1,4 +1,4 @@
-"""Graceful SIGTERM/SIGINT shutdown for both server front ends.
+"""Graceful SIGTERM/SIGINT shutdown, in-process and with a worker pool.
 
 One signal must drive one orderly path: stop accepting, flush + close
 the WAL (with a final checkpoint), finalize any workload capture, and
@@ -25,7 +25,7 @@ _SRC = os.path.abspath(
 )
 
 
-def _spawn(tmp_path, *, threaded, record=None, data_dir=None):
+def _spawn(tmp_path, *, pooled, record=None, data_dir=None):
     program = tmp_path / "program.pl"
     program.write_text(PROGRAM)
     cmd = [
@@ -37,10 +37,8 @@ def _spawn(tmp_path, *, threaded, record=None, data_dir=None):
         "--port",
         "0",
         "--workers",
-        "0",
+        "1" if pooled else "0",
     ]
-    if threaded:
-        cmd.append("--threaded")
     if record is not None:
         cmd += ["--record", record]
     if data_dir is not None:
@@ -75,11 +73,11 @@ def _mutate(address, count=5):
             assert reply["ok"] and reply["added"]
 
 
-@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("pooled", [False, True])
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT])
-def test_signal_shutdown_flushes_durable_store(tmp_path, threaded, sig):
+def test_signal_shutdown_flushes_durable_store(tmp_path, pooled, sig):
     data_dir = str(tmp_path / "store")
-    proc, address = _spawn(tmp_path, threaded=threaded, data_dir=data_dir)
+    proc, address = _spawn(tmp_path, pooled=pooled, data_dir=data_dir)
     try:
         _mutate(address)
         proc.send_signal(sig)
@@ -99,10 +97,10 @@ def test_signal_shutdown_flushes_durable_store(tmp_path, threaded, sig):
     assert list_snapshots(data_dir)
 
 
-@pytest.mark.parametrize("threaded", [False, True])
-def test_signal_shutdown_finalizes_capture(tmp_path, threaded):
+@pytest.mark.parametrize("pooled", [False, True])
+def test_signal_shutdown_finalizes_capture(tmp_path, pooled):
     archive = str(tmp_path / "capture.jsonl")
-    proc, address = _spawn(tmp_path, threaded=threaded, record=archive)
+    proc, address = _spawn(tmp_path, pooled=pooled, record=archive)
     try:
         _mutate(address, count=3)
         # The pipe buffers the capture banner; the mutations above
@@ -123,7 +121,7 @@ def test_signal_shutdown_finalizes_capture(tmp_path, threaded):
 def test_sigterm_mid_storm_still_exits_zero(tmp_path):
     """A signal racing live traffic drains instead of tearing down."""
     data_dir = str(tmp_path / "store")
-    proc, address = _spawn(tmp_path, threaded=False, data_dir=data_dir)
+    proc, address = _spawn(tmp_path, pooled=False, data_dir=data_dir)
     acked = 0
     try:
         with socket.create_connection(address, timeout=10) as sock:
@@ -148,3 +146,34 @@ def test_sigterm_mid_storm_still_exits_zero(tmp_path):
         proc.stdout.close()
     database, _ = recover_database(data_dir)
     assert len(database.relation("edge", 2)) >= acked
+
+
+def test_sigkill_leaves_no_worker_behind(tmp_path):
+    """A forked worker kept a copy of the parent's end of its own pipe,
+    so a SIGKILLed server never read as EOF and the worker lived on —
+    holding the listening socket (connects kept succeeding) and the WAL."""
+    proc, address = _spawn(
+        tmp_path, pooled=True, data_dir=str(tmp_path / "store")
+    )
+    try:
+        _mutate(address)
+        with socket.create_connection(address, timeout=10) as sock:
+            file = sock.makefile("rw", encoding="utf-8")
+            # Forks a fresh worker generation past the mutations.
+            file.write("QUERY path(s0, Y)\n")
+            file.flush()
+            assert json.loads(file.readline())["count"] == 1
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                socket.create_connection(address, timeout=1).close()
+            except ConnectionRefusedError:
+                break  # nothing holds the port any more
+            assert time.monotonic() < deadline, "an orphaned worker survives"
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()

@@ -11,6 +11,8 @@ import os
 
 import pytest
 
+from tests.service.conftest import serve  # noqa: F401  (shared fixture)
+
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):

@@ -16,7 +16,7 @@ from repro.core.planner import Planner
 from repro.engine.database import Database
 from repro.resilience import Budget, ChaosSchedule
 from repro.resilience.chaos import ChaosClient, ChaosError, ChaosRelation, chaos_relations
-from repro.service import QueryServer, QuerySession
+from repro.service import QuerySession
 from repro.workloads import FamilyConfig, family_database
 
 SMALL = FamilyConfig(levels=3, width=4, countries=2, parents_per_child=2, seed=0)
@@ -113,7 +113,7 @@ class TestSocketChaos:
             sock.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())
             return sock.makefile("rb").read()
 
-    def test_storm_of_faulty_clients(self):
+    def test_storm_of_faulty_clients(self, serve):
         db = Database()
         db.load_source(SOURCE)
         session = QuerySession(db)
@@ -123,35 +123,33 @@ class TestSocketChaos:
         socket_schedule = ChaosSchedule(
             seed=5, rates={"error": 0.12, "delay": 0.08, "drop": 0.10}
         )
-        with QueryServer(
-            session, port=0, budget=Budget(max_tuples=10_000), timeout=5.0
-        ) as srv:
-            client = ChaosClient(*srv.address, schedule=socket_schedule)
-            with chaos_relations(db, relation_schedule):
-                for wave in range(4):
-                    for line in self.LINES * 3:
-                        outcome, reply = client.request(line)
-                        if outcome == "drop":
-                            assert reply is None
-                            continue
-                        # Garbage, oversized and clean frames alike must
-                        # come back as one well-formed JSON envelope.
-                        assert reply, (outcome, line)
-                        envelope = json.loads(reply)
-                        assert isinstance(envelope, dict)
-                        assert "ok" in envelope
-                        if not envelope["ok"]:
-                            assert envelope["error"]["type"]
-                    # The observability surface never degrades.
-                    health = self._scrape(srv.address, "/healthz")
-                    assert health.startswith(b"HTTP/1.0 200"), wave
-                    metrics = self._scrape(srv.address, "/metrics")
-                    assert metrics.startswith(b"HTTP/1.0 200"), wave
-                    assert b"repro_queries_total" in metrics
+        srv = serve(session, budget=Budget(max_tuples=10_000), timeout=5.0)
+        client = ChaosClient(*srv.address, schedule=socket_schedule)
+        with chaos_relations(db, relation_schedule):
+            for wave in range(4):
+                for line in self.LINES * 3:
+                    outcome, reply = client.request(line)
+                    if outcome == "drop":
+                        assert reply is None
+                        continue
+                    # Garbage, oversized and clean frames alike must
+                    # come back as one well-formed JSON envelope.
+                    assert reply, (outcome, line)
+                    envelope = json.loads(reply)
+                    assert isinstance(envelope, dict)
+                    assert "ok" in envelope
+                    if not envelope["ok"]:
+                        assert envelope["error"]["type"]
+                # The observability surface never degrades.
+                health = self._scrape(srv.address, "/healthz")
+                assert health.startswith(b"HTTP/1.0 200"), wave
+                metrics = self._scrape(srv.address, "/metrics")
+                assert metrics.startswith(b"HTTP/1.0 200"), wave
+                assert b"repro_queries_total" in metrics
 
-            # After the storm: a clean client gets clean answers.
-            clean = srv.handle_line("QUERY sg(ann, Y)")
-            assert clean["ok"] and clean["answers"]
+        # After the storm: a clean client gets clean answers.
+        clean = srv.handle_line("QUERY sg(ann, Y)")
+        assert clean["ok"] and clean["answers"]
 
         total = (
             socket_schedule.snapshot()["injected"]
@@ -165,7 +163,7 @@ class TestSocketChaos:
 
 
 class TestOverloadChaos:
-    def test_saturation_sheds_instead_of_wedging(self):
+    def test_saturation_sheds_instead_of_wedging(self, serve):
         release = threading.Event()
 
         class SlowSession(QuerySession):
@@ -185,33 +183,33 @@ class TestOverloadChaos:
                 with replies_lock:
                     replies.append(reply)
 
-        with QueryServer(session, port=0, max_pending=2, workers=2) as srv:
-            threads = [
-                threading.Thread(target=hammer, args=(srv, 10))
-                for _ in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            release.set()
+        srv = serve(session, max_pending=2, dispatch_threads=2)
+        threads = [
+            threading.Thread(target=hammer, args=(srv, 10))
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        release.set()
 
-            assert len(replies) == 80
-            shed = [r for r in replies if not r["ok"]]
-            served = [r for r in replies if r["ok"]]
-            assert served, "saturation must not starve everyone"
-            assert shed, "8 hammers against max_pending=2 must shed"
-            assert all(r["error"]["type"] == "Overloaded" for r in shed)
-            assert all(r["retry_after"] > 0 for r in shed)
-            assert session.metrics.rejected == len(shed)
-            # Shedding is visible to operators, and cheap verbs still work.
-            assert srv.handle_line("HEALTH")["ok"]
-            body = srv.handle_line("METRICS")["body"]
-            assert "repro_rejected_total" in body
+        assert len(replies) == 80
+        shed = [r for r in replies if not r["ok"]]
+        served = [r for r in replies if r["ok"]]
+        assert served, "saturation must not starve everyone"
+        assert shed, "8 hammers against max_pending=2 must shed"
+        assert all(r["error"]["type"] == "Overloaded" for r in shed)
+        assert all(r["retry_after"] > 0 for r in shed)
+        assert session.metrics.rejected == len(shed)
+        # Shedding is visible to operators, and cheap verbs still work.
+        assert srv.handle_line("HEALTH")["ok"]
+        body = srv.handle_line("METRICS")["body"]
+        assert "repro_rejected_total" in body
 
 
 class TestFaultBudgetFloor:
-    def test_at_least_one_hundred_faults_injected_overall(self):
+    def test_at_least_one_hundred_faults_injected_overall(self, serve):
         """The acceptance floor: the suite's schedules, replayed here
         end to end, inject >= 100 faults across relations and sockets."""
         relation_schedule = ChaosSchedule(
@@ -224,10 +222,10 @@ class TestFaultBudgetFloor:
         socket_schedule = ChaosSchedule(
             seed=5, rates={"error": 0.12, "delay": 0.08, "drop": 0.10}
         )
-        with QueryServer(QuerySession(db), port=0) as srv:
-            client = ChaosClient(*srv.address, schedule=socket_schedule)
-            for _ in range(60):
-                client.request("QUERY sg(ann, Y)")
+        srv = serve(QuerySession(db))
+        client = ChaosClient(*srv.address, schedule=socket_schedule)
+        for _ in range(60):
+            client.request("QUERY sg(ann, Y)")
 
         total = (
             relation_schedule.snapshot()["injected"]

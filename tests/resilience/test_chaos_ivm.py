@@ -18,7 +18,7 @@ from repro.engine.database import Database
 from repro.engine.seminaive import SemiNaiveEvaluator
 from repro.resilience import ChaosError, ChaosSchedule, ChaosSubscriber
 from repro.resilience.chaos import chaos_relations
-from repro.service import QueryServer, QuerySession
+from repro.service import QuerySession
 
 SOURCE = """
 edge(n1, n2). edge(n2, n3). edge(n3, n4). edge(n1, n3).
@@ -110,50 +110,50 @@ class TestMaintenanceChaos:
 
 
 class TestPushChaos:
-    def test_misbehaving_subscribers_never_wedge_the_server(self):
+    def test_misbehaving_subscribers_never_wedge_the_server(self, serve):
         db = Database()
         db.load_source(SOURCE)
         session = QuerySession(db, ivm=True)
-        with QueryServer(session, port=0) as server:
-            host, port = server.address
-            schedule = ChaosSchedule(
-                seed=11, rates={"drop": 0.25, "delay": 0.2}
-            )
-            subscribers = [
-                ChaosSubscriber(host, port, schedule) for _ in range(4)
-            ]
+        server = serve(session)
+        host, port = server.address
+        schedule = ChaosSchedule(
+            seed=11, rates={"drop": 0.25, "delay": 0.2}
+        )
+        subscribers = [
+            ChaosSubscriber(host, port, schedule) for _ in range(4)
+        ]
+        for sub in subscribers:
+            reply = sub.subscribe("tc/2")
+            assert reply and reply["ok"]
+        for index, (op, name, row) in enumerate(MUTATIONS):
+            if op == "add":
+                session.add_fact(name, row)
+            else:
+                session.retract_fact(name, row)
             for sub in subscribers:
-                reply = sub.subscribe("tc/2")
-                assert reply and reply["ok"]
-            for index, (op, name, row) in enumerate(MUTATIONS):
-                if op == "add":
-                    session.add_fact(name, row)
-                else:
-                    session.retract_fact(name, row)
-                for sub in subscribers:
-                    outcome, delta = sub.read_delta()
-                    if outcome in ("drop", "closed"):
-                        continue
-                    # Every delivered line is a well-formed envelope.
-                    assert delta["ok"] and delta["verb"] == "DELTA"
-                    assert delta["predicate"] == "tc/2"
-                    assert isinstance(delta["adds"], list)
-                    assert isinstance(delta["dels"], list)
-            # The server survived: a fresh client gets clean service
-            # and the dropped subscriptions were reaped.
-            probe = ChaosSubscriber(host, port, ChaosSchedule(seed=0))
-            stats = probe.request("STATS")
-            assert stats["ok"]
-            rows = probe.request("QUERY tc(X, Y)")
-            assert rows["ok"]
-            expected = fresh_tc(db)
-            assert {tuple(r) for r in rows["answers"]} == expected
-            deadline = time.monotonic() + 5
-            while (
-                server.subscriptions.count() > stats["stats"]["subscribers"]
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            for sub in subscribers:
-                sub.close()
-            probe.close()
+                outcome, delta = sub.read_delta()
+                if outcome in ("drop", "closed"):
+                    continue
+                # Every delivered line is a well-formed envelope.
+                assert delta["ok"] and delta["verb"] == "DELTA"
+                assert delta["predicate"] == "tc/2"
+                assert isinstance(delta["adds"], list)
+                assert isinstance(delta["dels"], list)
+        # The server survived: a fresh client gets clean service
+        # and the dropped subscriptions were reaped.
+        probe = ChaosSubscriber(host, port, ChaosSchedule(seed=0))
+        stats = probe.request("STATS")
+        assert stats["ok"]
+        rows = probe.request("QUERY tc(X, Y)")
+        assert rows["ok"]
+        expected = fresh_tc(db)
+        assert {tuple(r) for r in rows["answers"]} == expected
+        deadline = time.monotonic() + 5
+        while (
+            server.subscriptions.count() > stats["stats"]["subscribers"]
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
+        for sub in subscribers:
+            sub.close()
+        probe.close()

@@ -1,9 +1,9 @@
-"""Chaos against the event-loop front end and the worker dispatch.
+"""Chaos against the event loop and the worker dispatch.
 
-Mirrors the threaded-server storm in ``test_chaos.py`` with the same
-contract — no wedge, no malformed reply, observability stays alive —
-but aimed at the ``selectors`` loop and (where fork is available) the
-multiprocessing evaluator pool.
+The socket storm of ``test_chaos.py`` (which layers relation faults on
+top, in-process only) with the same contract — no wedge, no malformed
+reply, observability stays alive — run in-process and (where fork is
+available) on the multiprocessing evaluator pool.
 """
 
 import json

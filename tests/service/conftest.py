@@ -7,6 +7,7 @@ under that directory and uploaded as a workflow artifact, so storm
 failures are diagnosable post-hoc instead of lost with the runner.
 """
 
+import contextlib
 import io
 import logging
 import os
@@ -14,6 +15,7 @@ import os
 import pytest
 
 from repro.observe.jsonlog import configure_logging
+from repro.service import AsyncQueryServer
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -39,3 +41,14 @@ def log_stream():
         if getattr(handler, "_repro_handler", False):
             root.removeHandler(handler)
     root.setLevel(logging.WARNING)
+
+
+@pytest.fixture
+def serve():
+    """``serve(session, **options)`` starts the in-process loop server
+    (``AsyncQueryServer(session, workers=0)``) and returns it; every
+    server started this way is shut down with the test."""
+    with contextlib.ExitStack() as servers:
+        yield lambda session, **options: servers.enter_context(
+            AsyncQueryServer(session, workers=0, **options)
+        )

@@ -1,7 +1,7 @@
 """Flight-recorder commits when a client disconnects mid-reply.
 
-A vanished peer takes an unusual exit through the threaded server's
-wait loop (budget cancel -> ClientDisconnected -> finalize).  These
+A vanished peer takes an unusual exit through the server (EOF event ->
+budget cancel -> ClientDisconnected -> finalize).  These
 tests pin the observability contract on that path: the lifecycle ring
 commits a ``status="disconnected"`` record, the ring stays usable for
 follow-up traffic, the disconnect counter moves, and the JSON log
@@ -14,7 +14,7 @@ import threading
 import time
 
 from repro.engine.database import Database
-from repro.service import QueryServer, QuerySession
+from repro.service import QuerySession
 
 SOURCE = """
 sg(X, Y) :- sibling(X, Y).
@@ -37,8 +37,9 @@ class StallingSession(QuerySession):
             stall = not self._stalled_once
             self._stalled_once = True
         if stall:
-            # Long enough for the server's disconnect probe (50ms
-            # poll) to fire; released by the test either way.
+            # Held until the test has seen the loop cancel this
+            # request's budget; the evaluation below then aborts at
+            # its first checkpoint.
             self.release.wait(timeout=10.0)
         return super().execute(query_source, max_depth, budget)
 
@@ -61,51 +62,55 @@ def _wait_for(predicate, timeout=8.0):
     return None
 
 
-def test_mid_reply_disconnect_commits_to_ring(log_stream):
+def _vanish_mid_query(server, session, log_stream, line):
+    """Send ``line`` (which stalls in evaluation), hang up without
+    reading, and release the evaluation once the loop has cancelled it."""
+    sock = socket.create_connection(server.address, timeout=10)
+    sock.sendall(line)
+    sock.close()
+    try:
+        assert _wait_for(lambda: '"cancel"' in log_stream.getvalue())
+    finally:
+        session.release.set()
+
+
+def test_mid_reply_disconnect_commits_to_ring(serve, log_stream):
     db = Database()
     db.load_source(SOURCE)
     session = StallingSession(db)
-    with QueryServer(session, port=0) as server:
-        disconnects_before = session.metrics.snapshot()["disconnects"]
-        try:
-            # Send a query that stalls in the worker, then vanish
-            # without reading the reply.
-            sock = socket.create_connection(server.address, timeout=10)
-            sock.sendall(b"QUERY sg(ann, Y)\n")
-            sock.close()
+    server = serve(session)
+    disconnects_before = session.metrics.snapshot()["disconnects"]
+    _vanish_mid_query(server, session, log_stream, b"QUERY sg(ann, Y)\n")
+    committed = _wait_for(
+        lambda: [
+            r for r in session.reqlog()
+            if r["status"] == "disconnected"
+        ]
+    )
+    assert committed, (
+        f"no disconnected record committed; ring={session.reqlog()}"
+    )
+    (record,) = committed
+    assert record["verb"] == "QUERY"
+    assert record["id"]
 
-            committed = _wait_for(
-                lambda: [
-                    r for r in session.reqlog()
-                    if r["status"] == "disconnected"
-                ]
-            )
-            assert committed, (
-                f"no disconnected record committed; ring={session.reqlog()}"
-            )
-            (record,) = committed
-            assert record["verb"] == "QUERY"
-            assert record["id"]
-        finally:
-            session.release.set()
+    # The counter moved.
+    assert (
+        session.metrics.snapshot()["disconnects"] > disconnects_before
+    )
 
-        # The counter moved.
-        assert (
-            session.metrics.snapshot()["disconnects"] > disconnects_before
-        )
-
-        # The ring is not corrupted: follow-up traffic serves and
-        # commits normally alongside the disconnected record.
-        reply = _request(server.address, "QUERY sg(ann, Y)")
-        assert reply["ok"] is True
-        ok_records = _wait_for(
-            lambda: [
-                r for r in session.reqlog()
-                if r["status"] == "ok" and r["verb"] == "QUERY"
-            ]
-        )
-        assert ok_records
-        assert any(r["status"] == "disconnected" for r in session.reqlog())
+    # The ring is not corrupted: follow-up traffic serves and
+    # commits normally alongside the disconnected record.
+    reply = _request(server.address, "QUERY sg(ann, Y)")
+    assert reply["ok"] is True
+    ok_records = _wait_for(
+        lambda: [
+            r for r in session.reqlog()
+            if r["status"] == "ok" and r["verb"] == "QUERY"
+        ]
+    )
+    assert ok_records
+    assert any(r["status"] == "disconnected" for r in session.reqlog())
 
     # The JSON log stream carries a cancel event that joins against
     # the ring record on request_id.
@@ -124,7 +129,7 @@ def test_mid_reply_disconnect_commits_to_ring(log_stream):
 
 
 def test_disconnected_records_are_capturable_without_corruption(
-    log_stream, tmp_path
+    serve, log_stream, tmp_path
 ):
     """Capture stays coherent when requests die mid-flight around it."""
     from repro.observe import load_archive
@@ -133,28 +138,23 @@ def test_disconnected_records_are_capturable_without_corruption(
     db.load_source(SOURCE)
     session = StallingSession(db)
     session._stalled_once = True  # no stall for the control requests
-    with QueryServer(session, port=0) as server:
-        path = str(tmp_path / "cap.jsonl")
-        assert _request(server.address, f"RECORD START {path}")["ok"]
+    server = serve(session)
+    path = str(tmp_path / "cap.jsonl")
+    assert _request(server.address, f"RECORD START {path}")["ok"]
 
-        # A request whose client vanishes mid-flight: the reply is
-        # still built and recorded (the tap rides reply serialization,
-        # not the socket write), or the request dies before the tap —
-        # either way the archive must stay parseable.
-        session._stalled_once = False
-        sock = socket.create_connection(server.address, timeout=10)
-        sock.sendall(b"QUERY sg(bob, Y)\n")
-        sock.close()
-        _wait_for(
-            lambda: any(
-                r["status"] == "disconnected" for r in session.reqlog()
-            )
+    # A request whose client vanishes mid-flight dies before the
+    # capture tap; the archive must stay parseable around it.
+    session._stalled_once = False
+    _vanish_mid_query(server, session, log_stream, b"QUERY sg(bob, Y)\n")
+    assert _wait_for(
+        lambda: any(
+            r["status"] == "disconnected" for r in session.reqlog()
         )
-        session.release.set()
+    )
 
-        assert _request(server.address, "QUERY sg(ann, Y)")["ok"]
-        stopped = _request(server.address, "RECORD STOP")
-        assert stopped["ok"], stopped
+    assert _request(server.address, "QUERY sg(ann, Y)")["ok"]
+    stopped = _request(server.address, "RECORD STOP")
+    assert stopped["ok"], stopped
 
     header, entries = load_archive(path)
     assert header["version"] == 1

@@ -2,9 +2,8 @@
 
 Runs mostly with ``workers=0`` (in-process evaluation) so protocol
 behaviour is isolated from the multiprocessing dispatch, which has its
-own suite in ``test_workers.py``.  Cases that hold on every front end
-live in ``test_protocol_conformance.py``, which runs them on all
-transports.
+own suite in ``test_workers.py``.  Cases that must hold in both
+evaluation modes live in ``test_protocol_conformance.py``.
 """
 
 import json
@@ -15,7 +14,7 @@ import time
 import pytest
 
 from repro.engine.database import Database
-from repro.service import AsyncQueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession, eventloop
 
 SOURCE = """
 sg(X, Y) :- sibling(X, Y).
@@ -256,3 +255,23 @@ class TestUptimeMonotonic:
         monkeypatch.setattr(time, "time", lambda: 0.0)
         second = server.session.health()["uptime_s"]
         assert second >= first >= 0.0
+
+
+class TestFailedStartup:
+    def test_pool_failure_unregisters_listener_and_frees_port(
+        self, monkeypatch
+    ):
+        def cannot_fork(*args, **kwargs):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(eventloop, "WorkerPool", cannot_fork)
+        session = QuerySession(_database())
+        listeners = list(session.database._mutation_listeners)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(OSError, match="fork"):
+            AsyncQueryServer(session, port=port, workers=1)
+        assert session.database._mutation_listeners == listeners
+        # The half-built server's listening socket was closed too.
+        AsyncQueryServer(session, port=port, workers=0).shutdown()

@@ -25,7 +25,7 @@ from repro.observe import (
     merge_worker_trace,
 )
 from repro.observe.lifecycle import RequestRecord
-from repro.service import AsyncQueryServer, QueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession
 from repro.service.workers import fork_available
 
 SOURCE = """
@@ -223,13 +223,12 @@ class TestChromeTraceMerge:
 
 
 # ----------------------------------------------------------------------
-# REQLOG over both front ends
+# REQLOG over the wire
 # ----------------------------------------------------------------------
 class TestAsyncReqlog:
     @pytest.fixture
-    def server(self):
-        with AsyncQueryServer(QuerySession(build_db()), workers=0) as srv:
-            yield srv
+    def server(self, serve):
+        return serve(QuerySession(build_db()))
 
     @pytest.fixture
     def client(self, server):
@@ -295,47 +294,12 @@ class TestAsyncReqlog:
         assert "repro_connections" in text
         assert "repro_outbox_bytes" in text
 
-    def test_disabled_recorder_serves_empty_reqlog(self):
-        session = QuerySession(build_db(), reqlog_size=0)
-        with AsyncQueryServer(session, workers=0) as srv:
-            client = Client(srv)
-            assert client.request("QUERY sg(ann, Y)")["ok"]
-            reply = client.request("REQLOG")
-            assert reply["ok"] and reply["records"] == []
-            client.close()
-
-
-class TestThreadedReqlog:
-    @pytest.fixture
-    def server(self):
-        with QueryServer(QuerySession(build_db())) as srv:
-            yield srv
-
-    def test_reqlog_records_the_request(self, server):
-        client = Client(server)
-        client.request("QUERY sg(ann, Y)")
+    def test_disabled_recorder_serves_empty_reqlog(self, serve):
+        client = Client(serve(QuerySession(build_db(), reqlog_size=0)))
+        assert client.request("QUERY sg(ann, Y)")["ok"]
         reply = client.request("REQLOG")
+        assert reply["ok"] and reply["records"] == []
         client.close()
-        assert reply["ok"]
-        record = next(r for r in reply["records"] if r["verb"] == "QUERY")
-        assert record["status"] == "ok"
-        assert record["origin"] == "threaded"
-        for stage in ("read", "parse", "admission", "eval", "serialize",
-                      "flush"):
-            assert stage in record["stages_ms"], record
-
-    def test_http_reqlog_route(self, server):
-        Client(server).request("STATS")
-        # The STATS record commits after its reply flushes, so the
-        # client can get here first: poll instead of racing it.
-        deadline = time.monotonic() + 5
-        while True:
-            head, body = http_get(server, "/reqlog")
-            assert "200 OK" in head
-            if json.loads(body) or time.monotonic() > deadline:
-                break
-            time.sleep(0.02)
-        assert json.loads(body)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""One conformance suite over the protocol core, run on every transport.
+"""One conformance suite over the protocol core, run in both evaluation modes.
 
 ``repro.service.protocol.ProtocolCore`` defines the line protocol once;
-``QueryServer`` (a thread per connection) and ``AsyncQueryServer`` (a
-selector loop, evaluating in-process or on forked workers) only move
-bytes.  This suite drives one scripted session through each of them
-over real sockets and requires the reply digests
-(``observe.capture.digest_reply``: bit-exact for successful
-QUERY/PLAN/FACT/RETRACT, structural otherwise) to be identical, so a
-behaviour can no longer exist on one front end and not the other.
+``AsyncQueryServer`` (a selector loop) moves the bytes and evaluates
+heavy verbs in-process or on forked workers.  This suite drives one
+scripted session through each mode over real sockets and requires the
+reply digests (``observe.capture.digest_reply``: bit-exact for
+successful QUERY/PLAN/FACT/RETRACT, structural otherwise) to equal
+``threaded_transcript.golden.json`` — what the deleted thread-per-
+connection server answered to the same two sessions at its last
+commit (fd1796e), kept as data so the two loop modes are held to
+an independent reference rather than only to each other.  No digest in
+it depends on the hash seed (regenerated under four) or, as far as the
+one interpreter available (3.11) can show, on the Python version, so
+every line is pinned exactly.
 """
 
 import ast
 import functools
+import importlib
 import json
 import os
 import pathlib
@@ -27,7 +33,7 @@ import pytest
 from repro.engine.database import Database
 from repro.observe import digest_reply
 from repro.resilience import Budget
-from repro.service import AsyncQueryServer, QueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession
 from repro.service.protocol import MAX_LINE_BYTES, ProtocolCore
 from repro.service.workers import fork_available
 from repro.workloads import (
@@ -42,8 +48,11 @@ from repro.workloads import (
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
+GOLDEN = json.loads(
+    pathlib.Path(__file__).with_name("threaded_transcript.golden.json").read_text()
+)
+
 FRONT_ENDS = {
-    "threaded": QueryServer,
     "loop-inprocess": functools.partial(AsyncQueryServer, workers=0),
     "loop-forked": functools.partial(AsyncQueryServer, workers=1),
 }
@@ -51,7 +60,6 @@ FRONT_ENDS = {
 front_ends = pytest.mark.parametrize(
     "front_end",
     [
-        "threaded",
         "loop-inprocess",
         pytest.param(
             "loop-forked",
@@ -343,32 +351,34 @@ SESSIONS = {"protocol": protocol_session, "resilience": resilience_session}
 
 
 @pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    """The threaded transport's transcripts, computed once."""
-    tmp_path = tmp_path_factory.mktemp("reference")
-    return {
-        name: run("threaded", tmp_path) for name, run in SESSIONS.items()
-    }
+def transcript(tmp_path_factory):
+    """``transcript(script, front_end)``, each session run once."""
+    return functools.lru_cache(maxsize=None)(
+        lambda script, front_end: SESSIONS[script](
+            front_end, tmp_path_factory.mktemp(front_end)
+        )
+    )
 
 
 @front_ends
 @pytest.mark.parametrize("script", sorted(SESSIONS))
 def test_scripted_session_digests_match_on_every_front_end(
-    script, front_end, reference, tmp_path
+    script, front_end, transcript
 ):
-    seen = SESSIONS[script](front_end, tmp_path)
-    expected = reference[script]
-    assert [e["line"] for e in seen.entries] == [
-        e["line"] for e in expected.entries
-    ]
-    for got, want in zip(seen.entries, expected.entries):
-        assert got == want, f"{front_end} diverges from threaded on {got['line']!r}"
+    seen = transcript(script, front_end).entries
+    expected = GOLDEN[script]
+    assert [e["line"] for e in seen] == [e["line"] for e in expected]
+    for got, want in zip(seen, expected):
+        assert got == want, (
+            f"{front_end} diverges from the threaded transcript "
+            f"on {got['line']!r}"
+        )
 
 
-def test_protocol_session_exercises_every_verb(reference):
-    assert reference["protocol"].verbs - {"?", "FROB"} == set(
-        ProtocolCore.VERBS
-    )
+def test_protocol_session_exercises_every_verb(transcript):
+    assert transcript("protocol", "loop-inprocess").verbs - {
+        "?", "FROB"
+    } == set(ProtocolCore.VERBS)
 
 
 # ----------------------------------------------------------------------
@@ -511,25 +521,6 @@ def test_overflow_drop_emits_push_drop_event(front_end, log_stream):
     assert drops[0]["predicate"] == "parent/2"
 
 
-def test_origin_follows_the_front_end_serving_the_session():
-    """A session re-wrapped by the event loop used to keep stamping
-    ``threaded`` on its flight-recorder records."""
-    database = Database()
-    database.load_source(SMALL)
-    session = QuerySession(database)
-    with QueryServer(session):
-        assert session.lifecycle.origin == "threaded"
-    with AsyncQueryServer(session, workers=0) as srv:
-        assert session.lifecycle.origin == "async"
-        client = Client(srv)
-        try:
-            client.request("STATS")
-            records = client.request("REQLOG")["records"]
-        finally:
-            client.close()
-    assert records and {r["origin"] for r in records} == {"async"}
-
-
 # ----------------------------------------------------------------------
 # One definition: the verb list and the handlers
 # ----------------------------------------------------------------------
@@ -546,10 +537,8 @@ def test_verb_table_is_the_documented_fifteen():
         assert callable(getattr(ProtocolCore, handler))
 
 
-def test_unknown_verb_message_lists_exactly_the_verb_table(reference):
-    (entry,) = [
-        e for e in reference["protocol"].entries if e["line"] == "FROB x"
-    ]
+def test_unknown_verb_message_lists_exactly_the_verb_table():
+    (entry,) = [e for e in GOLDEN["protocol"] if e["line"] == "FROB x"]
     assert entry["message"] == (
         "unknown verb 'FROB'; expected "
         + ", ".join(EXPECTED_VERBS[:-1]) + " or " + EXPECTED_VERBS[-1]
@@ -593,6 +582,15 @@ def test_docs_verb_table_lists_exactly_the_verb_table():
         for example in re.findall(r"`([^`]+)`", request_cell):
             documented.add(example.split()[0])
     assert documented == set(ProtocolCore.VERBS)
+    # docs/api.md lists the verbs once more, on the server's row.
+    (row,) = [
+        line
+        for line in (ROOT / "docs" / "api.md").read_text().splitlines()
+        if line.startswith("| `AsyncQueryServer(")
+    ]
+    assert set(re.findall(r"`([A-Z]+)`", row.split("|")[2])) == set(
+        ProtocolCore.VERBS
+    )
 
 
 def test_protocol_is_defined_in_exactly_one_module():
@@ -616,3 +614,27 @@ def test_protocol_is_defined_in_exactly_one_module():
         if len(modules) > 1
     }
     assert not duplicated, duplicated
+
+
+def test_the_event_loop_is_the_only_transport():
+    """The other half of the AST guard: exactly one class under
+    ``src/repro/service/`` subclasses ``ProtocolCore``, nothing under
+    ``src/`` imports ``socketserver``, and the threaded module is gone
+    rather than aliased."""
+    transports = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None))
+                == "ProtocolCore"
+                for base in node.bases
+            ):
+                transports.append(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+                assert "socketserver" not in imported, path
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "socketserver", path
+    assert transports == ["eventloop.py:AsyncQueryServer"]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.service.server")

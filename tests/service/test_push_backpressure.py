@@ -1,23 +1,17 @@
 """Push-channel backpressure: stalled subscribers must not stall anyone.
 
-Covers the two bounded-push mechanisms on the threaded server — the
-per-write send timeout and the per-subscriber byte backlog — plus the
-event-loop server's outbox cap.  The load-bearing property in every
-case: a subscriber that stops consuming is *dropped* (and counted in
-``repro_push_dropped_total``) while healthy subscribers keep receiving
-DELTAs promptly.
+Covers the event loop's per-connection outbox cap.  The load-bearing
+property in every case: a subscriber that stops consuming is *dropped*
+(and counted in ``repro_push_dropped_total``) while healthy subscribers
+keep receiving DELTAs promptly.
 """
 
 import json
 import socket
-import threading
 import time
 
-import pytest
-
 from repro.engine.database import Database
-from repro.service import AsyncQueryServer, QueryServer, QuerySession
-from repro.service.server import _PushTimeout, _send_all_bounded
+from repro.service import AsyncQueryServer, QuerySession
 
 
 def _database():
@@ -45,56 +39,16 @@ def _await_metric(read, minimum=1, timeout=10.0):
     return read() >= minimum
 
 
-class TestBoundedSend:
-    def test_times_out_instead_of_blocking_forever(self):
-        left, right = socket.socketpair()
-        try:
-            left.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
-            right.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
-            payload = b"z" * (1 << 21)  # far beyond both buffers
-            started = time.monotonic()
-            with pytest.raises(_PushTimeout):
-                _send_all_bounded(left, payload, timeout=0.3)
-            assert time.monotonic() - started < 5.0
-        finally:
-            left.close()
-            right.close()
-
-    def test_completes_when_peer_drains(self):
-        left, right = socket.socketpair()
-        try:
-            payload = b"z" * (1 << 18)
-            received = []
-
-            def drain():
-                got = 0
-                while got < len(payload):
-                    chunk = right.recv(65536)
-                    if not chunk:
-                        return
-                    got += len(chunk)
-                received.append(got)
-
-            thread = threading.Thread(target=drain)
-            thread.start()
-            _send_all_bounded(left, payload, timeout=5.0)
-            thread.join(timeout=10)
-            assert received == [len(payload)]
-        finally:
-            left.close()
-            right.close()
-
-
-class TestThreadedBacklogOverflow:
-    def test_oversized_backlog_drops_subscriber_and_counts(self):
-        # The cap is below one DELTA's wire size, so the reservation
-        # overflows on the very first push: pure accounting, no kernel
-        # buffers involved — fully deterministic.
-        with QueryServer(
-            QuerySession(_database()), port=0, push_backlog=100
+class TestEventLoopBacklogOverflow:
+    def test_overflowing_outbox_drops_subscriber(self):
+        with AsyncQueryServer(
+            QuerySession(_database()), workers=0, push_backlog=100
         ) as srv:
             sock, _ = _subscribe(srv.address)
             try:
+                # Wire size > cap: first push overflows the outbox
+                # accounting and drops the subscriber — no kernel
+                # buffers involved, fully deterministic.
                 srv.session.add_fact("parent", ("big0", "v" * 256))
                 assert _await_metric(
                     lambda: srv.session.metrics.push_dropped
@@ -105,80 +59,6 @@ class TestThreadedBacklogOverflow:
                 assert "repro_push_dropped_total" in srv.session.metrics_text()
                 # Later mutations survive having no subscribers left.
                 srv.session.add_fact("parent", ("big1", "w"))
-            finally:
-                sock.close()
-
-
-class TestThreadedSendTimeout:
-    def test_stalled_subscriber_reaped_healthy_keeps_receiving(self):
-        # The stalled peer's pipe is clogged for real (tiny buffers,
-        # never reads), so push writes block in the kernel; the send
-        # timeout bounds each blocked write, reaps the staller, and the
-        # healthy subscriber receives the full stream regardless.
-        count = 120
-        with QueryServer(
-            QuerySession(_database()), port=0,
-            push_backlog=64 * 1024 * 1024, push_timeout=0.5,
-        ) as srv:
-            stalled_sock, _ = _subscribe(srv.address)
-            healthy_sock, healthy_file = _subscribe(srv.address)
-            try:
-                stalled_sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_RCVBUF, 2048
-                )
-                # Shrink the server-side send buffer too, so the kernel
-                # absorbs KBs (not MBs) before the push write blocks.
-                for sub in list(srv.subscriptions._by_id.values()):
-                    if sub.connection.getpeername() == (
-                        stalled_sock.getsockname()
-                    ):
-                        sub.connection.setsockopt(
-                            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
-                        )
-                payload = "p" * 2048
-                started = time.monotonic()
-                for i in range(count):
-                    srv.session.add_fact("parent", (f"s{i}", payload))
-                healthy_sock.settimeout(30)
-                seen = 0
-                while seen < count:
-                    delta = json.loads(healthy_file.readline())
-                    assert delta["verb"] == "DELTA"
-                    seen += 1
-                elapsed = time.monotonic() - started
-                # Healthy delivery is delayed by at most a couple of
-                # blocked-write timeouts, never by an unbounded stall.
-                assert elapsed < 20.0
-                # Only the staller is reaped; the healthy subscription
-                # survives (identified by its server-side peer address).
-                assert _await_metric(
-                    lambda: int(srv.subscriptions.count() == 1)
-                )
-                (survivor,) = list(srv.subscriptions._by_id.values())
-                assert survivor.connection.getpeername() == (
-                    healthy_sock.getsockname()
-                )
-                # A stall-reap counts as a backpressure drop.
-                assert srv.session.metrics.push_dropped >= 1
-            finally:
-                stalled_sock.close()
-                healthy_sock.close()
-
-
-class TestEventLoopBacklogOverflow:
-    def test_overflowing_outbox_drops_subscriber(self):
-        with AsyncQueryServer(
-            QuerySession(_database()), workers=0, push_backlog=100
-        ) as srv:
-            sock, _ = _subscribe(srv.address)
-            try:
-                # Wire size > cap: first push overflows the outbox
-                # accounting and drops the subscriber.
-                srv.session.add_fact("parent", ("big0", "v" * 256))
-                assert _await_metric(
-                    lambda: srv.session.metrics.push_dropped
-                )
-                assert srv.subscriptions.count() == 0
             finally:
                 sock.close()
 

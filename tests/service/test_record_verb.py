@@ -1,4 +1,4 @@
-"""The RECORD verb (capture control) on both server front ends."""
+"""The RECORD verb (capture control)."""
 
 import json
 import socket
@@ -7,7 +7,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.observe import load_archive
-from repro.service import AsyncQueryServer, QueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession
 
 SOURCE = """
 sg(X, Y) :- sibling(X, Y).
@@ -22,14 +22,9 @@ def _session():
     return QuerySession(db)
 
 
-@pytest.fixture(params=["threaded", "async"])
-def server(request):
-    if request.param == "threaded":
-        with QueryServer(_session(), port=0) as srv:
-            yield srv
-    else:
-        with AsyncQueryServer(_session(), workers=0) as srv:
-            yield srv
+@pytest.fixture
+def server(serve):
+    return serve(_session())
 
 
 class Client:
@@ -129,16 +124,10 @@ class TestRecordVerb:
 
 
 class TestShutdownStopsCapture:
-    @pytest.mark.parametrize("kind", ["threaded", "async"])
-    def test_server_shutdown_finalizes_archive(self, kind, tmp_path):
+    def test_server_shutdown_finalizes_archive(self, tmp_path):
         path = str(tmp_path / "cap.jsonl")
         session = _session()
-        factory = (
-            (lambda: QueryServer(session, port=0))
-            if kind == "threaded"
-            else (lambda: AsyncQueryServer(session, workers=0))
-        )
-        with factory() as srv:
+        with AsyncQueryServer(session, workers=0) as srv:
             client = Client(srv)
             client.request(f"RECORD START {path}")
             client.request("QUERY sg(ann, Y)")

@@ -1,8 +1,9 @@
-"""QueryServer: line protocol, envelopes, timeout/depth budgets.
+"""The line protocol over a socket: envelopes, timeout/depth budgets.
 
-Cases that hold on every front end (query/cache/fact round trips,
-unknown verbs, oversized lines, the /metrics scrape) live in
-``test_protocol_conformance.py``, which runs them on all transports.
+Cases that must hold in both evaluation modes (query/cache/fact round
+trips, unknown verbs, oversized lines, the /metrics scrape) live in
+``test_protocol_conformance.py``, which runs them in-process and on
+forked workers.
 """
 
 import json
@@ -12,7 +13,7 @@ import time
 import pytest
 
 from repro.engine.database import Database
-from repro.service import QueryServer, QuerySession
+from repro.service import QuerySession
 from repro.workloads import FamilyConfig, family_database, SG
 
 SOURCE = """
@@ -23,11 +24,10 @@ parent(ann, carol). parent(bob, dan). sibling(carol, dan).
 
 
 @pytest.fixture
-def server():
+def server(serve):
     db = Database()
     db.load_source(SOURCE)
-    with QueryServer(QuerySession(db), port=0) as srv:
-        yield srv
+    return serve(QuerySession(db))
 
 
 class Client:
@@ -163,23 +163,22 @@ class TestErrorEnvelopes:
 
 
 class TestBudgets:
-    def test_depth_budget_returns_envelope(self):
+    def test_depth_budget_returns_envelope(self, serve):
         db = family_database(
             FamilyConfig(levels=6, width=8, countries=2, seed=1), program=SG
         )
-        with QueryServer(QuerySession(db), port=0, max_depth=1) as srv:
-            client = Client(srv)
-            try:
-                reply = client.request("QUERY sg(p0_0, Y)")
-                # Depth 1 cannot cover a 6-level family: either an error
-                # envelope or a strategy that ignores the budget — but
-                # never a dead connection.
-                assert reply["verb"] == "QUERY"
-                assert client.request("STATS")["ok"]
-            finally:
-                client.close()
+        client = Client(serve(QuerySession(db), max_depth=1))
+        try:
+            reply = client.request("QUERY sg(p0_0, Y)")
+            # Depth 1 cannot cover a 6-level family: either an error
+            # envelope or a strategy that ignores the budget — but
+            # never a dead connection.
+            assert reply["verb"] == "QUERY"
+            assert client.request("STATS")["ok"]
+        finally:
+            client.close()
 
-    def test_timeout_returns_envelope(self):
+    def test_timeout_returns_envelope(self, serve):
         # Deterministic: a session whose evaluation outlasts any budget
         # by construction (real workloads race the clock and flake).
         class SlowSession(QuerySession):
@@ -189,15 +188,13 @@ class TestBudgets:
 
         db = Database()
         db.load_source(SOURCE)
-        with QueryServer(SlowSession(db), port=0, timeout=0.05) as srv:
-            client = Client(srv)
-            try:
-                reply = client.request("QUERY sg(ann, Y)")
-                assert not reply["ok"]
-                assert reply["error"]["type"] == "Timeout"
-                assert srv.session.metrics.timeouts == 1
-                # The next request still gets served (it may wait for
-                # the abandoned evaluation to release the lock).
-                assert client.request("STATS")["ok"]
-            finally:
-                client.close()
+        srv = serve(SlowSession(db), timeout=0.05)
+        client = Client(srv)
+        try:
+            reply = client.request("QUERY sg(ann, Y)")
+            assert not reply["ok"]
+            assert reply["error"]["type"] == "Timeout"
+            assert srv.session.metrics.timeouts == 1
+            assert client.request("STATS")["ok"]
+        finally:
+            client.close()

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.engine.database import Database
-from repro.service import QueryServer, QuerySession
+from repro.service import QuerySession
 
 SOURCE = """
 edge(n1, n2). edge(n2, n3).
@@ -16,17 +16,15 @@ tc(X, Y) :- edge(X, Z), tc(Z, Y).
 """
 
 
-def make_server(**kwargs) -> QueryServer:
+def make_server(serve, ivm=True, **kwargs):
     db = Database()
     db.load_source(SOURCE)
-    session = QuerySession(db, ivm=kwargs.pop("ivm", True))
-    return QueryServer(session, port=0, **kwargs)
+    return serve(QuerySession(db, ivm=ivm), **kwargs)
 
 
 @pytest.fixture
-def server():
-    with make_server() as srv:
-        yield srv
+def server(serve):
+    return make_server(serve)
 
 
 class Client:
@@ -136,15 +134,14 @@ class TestSubscribe:
             ["n1", "n3"], ["n2", "n3"],
         ]
 
-    def test_derived_subscription_requires_ivm(self):
-        with make_server(ivm=False) as srv:
-            client = Client(srv)
-            reply = client.request("SUBSCRIBE tc/2")
-            assert not reply["ok"]
-            assert reply["error"]["type"] == "Unsubscribable"
-            # EDB subscriptions still work without IVM.
-            assert client.request("SUBSCRIBE edge/2")["ok"]
-            client.close()
+    def test_derived_subscription_requires_ivm(self, serve):
+        client = Client(make_server(serve, ivm=False))
+        reply = client.request("SUBSCRIBE tc/2")
+        assert not reply["ok"]
+        assert reply["error"]["type"] == "Unsubscribable"
+        # EDB subscriptions still work without IVM.
+        assert client.request("SUBSCRIBE edge/2")["ok"]
+        client.close()
 
     def test_subscriber_gauge_in_stats(self, server, client):
         assert client.request("STATS")["stats"]["subscribers"] == 0
@@ -178,27 +175,25 @@ class TestSubscribe:
 
 
 class TestIdleTimeoutExemption:
-    def test_subscriber_outlives_idle_timeout(self):
-        with make_server(idle_timeout=0.3) as srv:
-            subscriber = Client(srv)
-            subscriber.request("SUBSCRIBE tc/2")
-            time.sleep(0.6)  # well past the idle timeout
-            # Still alive: a mutation reaches it and requests still work.
-            srv.session.add_fact("edge", ("n3", "n4"))
-            delta = subscriber.read_line()
-            assert delta["verb"] == "DELTA"
-            assert subscriber.request("STATS")["ok"]
-            subscriber.close()
+    def test_subscriber_outlives_idle_timeout(self, serve):
+        srv = make_server(serve, idle_timeout=0.3)
+        subscriber = Client(srv)
+        subscriber.request("SUBSCRIBE tc/2")
+        time.sleep(1.2)  # past the idle timeout and a sweep period
+        # Still alive: a mutation reaches it and requests still work.
+        srv.session.add_fact("edge", ("n3", "n4"))
+        delta = subscriber.read_line()
+        assert delta["verb"] == "DELTA"
+        assert subscriber.request("STATS")["ok"]
+        subscriber.close()
 
-    def test_plain_connection_still_reaped(self):
-        with make_server(idle_timeout=0.2) as srv:
-            idle = Client(srv)
-            idle.request("STATS")
-            time.sleep(0.5)
-            idle.sock.settimeout(2)
-            try:
-                data = idle.sock.recv(1)
-            except (ConnectionError, socket.timeout):
-                data = b""
-            assert data == b""  # server closed the idle connection
-            idle.close()
+    def test_plain_connection_still_reaped(self, serve):
+        idle = Client(make_server(serve, idle_timeout=0.2))
+        idle.request("STATS")
+        idle.sock.settimeout(5)
+        try:
+            data = idle.sock.recv(1)
+        except (ConnectionError, socket.timeout):
+            data = b"?"
+        assert data == b""  # server closed the idle connection
+        idle.close()

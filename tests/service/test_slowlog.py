@@ -14,7 +14,7 @@ import socket
 import pytest
 
 from repro.engine.database import Database
-from repro.service import QueryServer, QuerySession
+from repro.service import QuerySession
 
 SOURCE = """
 sg(X, Y) :- sibling(X, Y).
@@ -194,10 +194,8 @@ class TestVerbLatency:
 
 
 @pytest.fixture
-def server():
-    session = QuerySession(build_db(), slow_query_ms=0.0)
-    with QueryServer(session, port=0) as srv:
-        yield srv
+def server(serve):
+    return serve(QuerySession(build_db(), slow_query_ms=0.0))
 
 
 class Client:

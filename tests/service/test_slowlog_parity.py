@@ -1,7 +1,7 @@
-"""SLOWLOG parity: threaded, async in-process and async pooled serving
-must retain *schema-identical* slow-query entries.
+"""SLOWLOG parity: in-process and pooled serving must retain
+*schema-identical* slow-query entries.
 
-A dashboards/tooling contract: whatever front end served the query,
+A dashboards/tooling contract: wherever the query was evaluated,
 an entry has the same keys — only ``origin`` says where it was
 evaluated ("inline" vs "worker") and ``request_id`` correlates it with
 the flight recorder.
@@ -13,7 +13,7 @@ import socket
 import pytest
 
 from repro.engine.database import Database
-from repro.service import AsyncQueryServer, QueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession
 from repro.service.workers import fork_available
 
 SOURCE = """
@@ -41,12 +41,8 @@ def query_once(server):
         return json.loads(file.readline())
 
 
-def threaded_entry():
-    session = QuerySession(build_db(), slow_query_ms=0.0)
-    with QueryServer(session) as server:
-        reply = query_once(server)
-    (entry,) = reply["entries"]
-    return entry
+#: Evaluation modes every entry-level contract is checked in.
+WORKER_MODES = (0, 1) if fork_available() else (0,)
 
 
 def async_entry(workers):
@@ -58,12 +54,6 @@ def async_entry(workers):
 
 
 class TestSlowlogParity:
-    def test_threaded_and_async_inline_schemas_match(self):
-        threaded = threaded_entry()
-        inline = async_entry(workers=0)
-        assert set(threaded.keys()) == set(inline.keys())
-        assert threaded["origin"] == inline["origin"] == "inline"
-
     @pytest.mark.skipif(
         not fork_available(), reason="worker pool needs fork"
     )
@@ -75,17 +65,10 @@ class TestSlowlogParity:
         assert pooled["origin"] == "worker"
 
     def test_entries_carry_request_correlation(self):
-        threaded = threaded_entry()
-        inline = async_entry(workers=0)
-        for entry in (threaded, inline):
-            assert "request_id" in entry
-            assert entry["request_id"] is None or entry[
-                "request_id"
-            ].startswith("req-")
-        # Served over a socket with the recorder on, the id is set.
-        assert inline["request_id"] is not None
-        assert threaded["request_id"] is not None
+        for workers in WORKER_MODES:
+            # Served over a socket with the recorder on, the id is set.
+            assert async_entry(workers)["request_id"].startswith("req-")
 
     def test_entries_survive_strict_json_on_both_fronts(self):
-        for entry in (threaded_entry(), async_entry(workers=0)):
-            json.dumps(entry, allow_nan=False)
+        for workers in WORKER_MODES:
+            json.dumps(async_entry(workers), allow_nan=False)

@@ -16,7 +16,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.engine.database import Database
 from repro.resilience import Budget, BudgetExceeded
-from repro.service import AsyncQueryServer, QueryServer, QuerySession
+from repro.service import AsyncQueryServer, QuerySession
 from repro.service.workers import WorkerPool, fork_available
 from repro.workloads import (
     SG,
@@ -81,19 +81,19 @@ def _scrub(reply):
 class TestParity:
     @pytest.mark.parametrize("build, queries", WORKLOADS)
     def test_query_envelopes_bit_identical(self, build, queries):
-        with QueryServer(QuerySession(build()), port=0) as threaded:
+        with AsyncQueryServer(QuerySession(build()), workers=0) as inprocess:
             with AsyncQueryServer(QuerySession(build()), workers=2) as pooled:
                 for source in queries:
-                    expect = _scrub(threaded.handle_line(f"QUERY {source}"))
+                    expect = _scrub(inprocess.handle_line(f"QUERY {source}"))
                     got = _scrub(pooled.handle_line(f"QUERY {source}"))
                     assert got == expect, source
 
     @pytest.mark.parametrize("build, queries", WORKLOADS)
     def test_explain_counters_bit_identical(self, build, queries):
-        with QueryServer(QuerySession(build()), port=0) as threaded:
+        with AsyncQueryServer(QuerySession(build()), workers=0) as inprocess:
             with AsyncQueryServer(QuerySession(build()), workers=1) as pooled:
                 for source in queries:
-                    expect = _scrub(threaded.handle_line(f"EXPLAIN {source}"))
+                    expect = _scrub(inprocess.handle_line(f"EXPLAIN {source}"))
                     got = _scrub(pooled.handle_line(f"EXPLAIN {source}"))
                     assert (
                         got["trace"]["counters"]
@@ -104,15 +104,15 @@ class TestParity:
     def test_budget_envelopes_bit_identical(self):
         build = WORKLOADS[0][0]
         budget = Budget(max_tuples=10)
-        with QueryServer(
-            QuerySession(build()), port=0, budget=budget,
+        with AsyncQueryServer(
+            QuerySession(build()), workers=0, budget=budget,
             breaker_threshold=None,
-        ) as threaded:
+        ) as inprocess:
             with AsyncQueryServer(
                 QuerySession(build()), workers=1, budget=budget,
                 breaker_threshold=None,
             ) as pooled:
-                expect = _scrub(threaded.handle_line("QUERY sg(X, Y)"))
+                expect = _scrub(inprocess.handle_line("QUERY sg(X, Y)"))
                 got = _scrub(pooled.handle_line("QUERY sg(X, Y)"))
                 assert not expect["ok"]
                 assert expect["error"]["type"] == "BudgetExceeded"
@@ -121,15 +121,15 @@ class TestParity:
                 # metrics even though it tripped inside a worker.
                 assert (
                     pooled.session.metrics.snapshot()["budget_exceeded"]
-                    == threaded.session.metrics.snapshot()["budget_exceeded"]
+                    == inprocess.session.metrics.snapshot()["budget_exceeded"]
                     == 1
                 )
 
     def test_plan_parity(self):
         build = WORKLOADS[1][0]
-        with QueryServer(QuerySession(build()), port=0) as threaded:
+        with AsyncQueryServer(QuerySession(build()), workers=0) as inprocess:
             with AsyncQueryServer(QuerySession(build()), workers=1) as pooled:
-                expect = threaded.handle_line("PLAN scsg(p0_0, Y)")
+                expect = inprocess.handle_line("PLAN scsg(p0_0, Y)")
                 got = pooled.handle_line("PLAN scsg(p0_0, Y)")
                 assert got == expect
 

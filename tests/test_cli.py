@@ -1,11 +1,21 @@
 """Unit tests for the command-line interface."""
 
 import io
+import json
+import multiprocessing
+import os
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+from tests.service.conftest import serve  # noqa: F401  (shared fixture)
 
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 SG_SOURCE = """
 sg(X, Y) :- sibling(X, Y).
@@ -310,32 +320,27 @@ class TestFactsLoading:
 
 class TestReplaySubcommand:
     @pytest.fixture
-    def archive(self, tmp_path):
+    def archive(self, serve, tmp_path):
         """A tiny archive recorded over a live server's RECORD verb."""
-        import json
-        import socket
-
         from repro.engine.database import Database
-        from repro.service import QueryServer, QuerySession
+        from repro.service import QuerySession
 
         db = Database()
         db.load_source(SG_SOURCE)
         path = str(tmp_path / "workload.jsonl")
-        with QueryServer(QuerySession(db), port=0) as server:
-            with socket.create_connection(
-                server.address, timeout=10
-            ) as sock:
-                file = sock.makefile("rw", encoding="utf-8")
-                for line in (
-                    f"RECORD START {path}",
-                    "QUERY sg(ann, Y)",
-                    "STATS",
-                    "RECORD STOP",
-                ):
-                    file.write(line + "\n")
-                    file.flush()
-                    reply = json.loads(file.readline())
-                    assert reply["ok"], reply
+        server = serve(QuerySession(db))
+        with socket.create_connection(server.address, timeout=10) as sock:
+            file = sock.makefile("rw", encoding="utf-8")
+            for line in (
+                f"RECORD START {path}",
+                "QUERY sg(ann, Y)",
+                "STATS",
+                "RECORD STOP",
+            ):
+                file.write(line + "\n")
+                file.flush()
+                reply = json.loads(file.readline())
+                assert reply["ok"], reply
         return path
 
     def test_replay_reports_parity(self, archive):
@@ -369,3 +374,69 @@ class TestReplaySubcommand:
         code, output = run([program_file, "--record", "x.jsonl"])
         assert code == 1
         assert "--record" in output
+
+
+class TestServeStartup:
+    def test_help_lists_neither_threaded_nor_push_timeout(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = capsys.readouterr().out
+        assert "--workers" in text
+        assert "--threaded" not in text and "--push-timeout" not in text
+
+    @pytest.mark.parametrize(
+        "extra, pool_size", [([], None), (["--workers", "1"], 1)]
+    )
+    def test_threaded_is_a_deprecated_spelling_of_workers_0(
+        self, program_file, extra, pool_size
+    ):
+        """``--threaded`` still parses (the ledger launches it): the
+        loop serves in-process unless ``--workers`` says otherwise, and
+        the deprecation note goes to stderr, never ahead of the banner."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", program_file, "--serve",
+             "--port", "0", "--threaded", *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert banner.startswith("repro serving on 127.0.0.1:")
+            port = int(banner.split()[3].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), 10) as sock:
+                file = sock.makefile("rw", encoding="utf-8")
+                file.write("STATS\n")
+                file.flush()
+                stats = json.loads(file.readline())["stats"]
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0
+        assert (stats.get("workers") or {}).get("size") == pool_size
+        assert "note:" not in out
+        assert err.count("note:") == 1 and "--workers 0" in err
+
+    def test_busy_port_is_one_error_line_and_leaves_nothing_behind(
+        self, program_file, tmp_path
+    ):
+        store = str(tmp_path / "store")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            code, output = run(
+                [program_file, "--serve", "--port", str(port),
+                 "--workers", "2", "--data-dir", store]
+            )
+        assert code == 1
+        (line,) = output.splitlines()
+        assert line.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert not [
+            child.name for child in multiprocessing.active_children()
+            if child.name.startswith("repro-worker")
+        ]
+        # The store was closed, not abandoned: it reopens and answers.
+        code, output = run(["--data-dir", store, "-q", "sg(ann, Y)"])
+        assert code == 0 and "sg(ann, bob)" in output
