@@ -46,6 +46,7 @@ from repro.datalog.parser import parse_query
 from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import is_ground
 from repro.datalog.unify import Substitution, apply_substitution
+from repro.engine.context import DISABLED, EvalContext
 from repro.engine.counters import Counters
 from repro.engine.database import Database
 from repro.engine.joins import UnsafeRuleError, _resolve, literal_solutions
@@ -76,11 +77,13 @@ def legacy_evaluate_body(
     overrides=None,
     idb_solver=None,
     stage_counts: Optional[List[int]] = None,
+    ctx=None,
 ) -> Iterator[Substitution]:
     """The pre-overhaul join: one materialized substitution list per
     body literal.  ``peak_intermediate`` records the largest list.
-    ``stage_counts`` (the tracer hook) is accepted for signature
-    compatibility and ignored — the legacy engine predates tracing."""
+    ``stage_counts`` (the tracer hook) and ``ctx`` (the evaluation
+    context) are accepted for signature compatibility and ignored —
+    the legacy engine predates tracing and budgets."""
     substitutions: List[Substitution] = [seed]
     if counters is not None and counters.peak_intermediate < 1:
         counters.peak_intermediate = 1
@@ -341,11 +344,11 @@ CASES = [case_sg, case_scsg, case_nonlinear, case_travel]
 
 def tracer_parity(quick: bool) -> Dict[str, object]:
     """Tracing must not change evaluation: the same scsg bottom-up run
-    with ``tracer=None`` and with a no-op ``Tracer`` installed must
-    produce bit-identical counters and relations, and the
+    under the disabled context and with a no-op ``Tracer`` installed
+    must produce bit-identical counters and relations, and the
     enabled-but-recording-nothing path must stay within noise of the
-    disabled path (bounded generously at 3x — it is a handful of
-    ``is not None`` branches, not real work)."""
+    disabled path (bounded generously at 3x — it is no-op hook calls
+    and stage counting, not real work)."""
     from repro.observe import Tracer
 
     config = FamilyConfig(
@@ -356,12 +359,12 @@ def tracer_parity(quick: bool) -> Dict[str, object]:
         seed=7,
     )
 
-    def run(tracer) -> EvaluationResult:
+    def run(ctx) -> EvaluationResult:
         db = family_database(config, program=SCSG)
-        return SemiNaiveEvaluator(db, tracer=tracer).evaluate()
+        return SemiNaiveEvaluator(db, ctx=ctx).evaluate()
 
-    off, off_s = _timed(lambda: run(None))
-    on, on_s = _timed(lambda: run(Tracer()))
+    off, off_s = _timed(lambda: run(DISABLED))
+    on, on_s = _timed(lambda: run(EvalContext(tracer=Tracer())))
     if off.counters.as_dict() != on.counters.as_dict():
         raise AssertionError("no-op tracer changed the work counters")
     if off.relation("scsg", 2) != on.relation("scsg", 2):
@@ -418,9 +421,8 @@ def profiler_parity(quick: bool) -> Dict[str, object]:
 
         db = family_database(cfg, program=SG)
         gc.collect()
-        return _timed(
-            lambda: SemiNaiveEvaluator(db, profiler=profiler).evaluate()
-        )
+        ctx = EvalContext(profiler=profiler)
+        return _timed(lambda: SemiNaiveEvaluator(db, ctx=ctx).evaluate())
 
     off, _ = run(config, None)
     on, _ = run(config, SpanProfiler())

@@ -38,6 +38,7 @@ from .engine import (
     BuiltinRegistry,
     Counters,
     Database,
+    EvalContext,
     ProofTracer,
     Relation,
     SemiNaiveEvaluator,
@@ -97,6 +98,7 @@ __all__ = [
     "Counters",
     "CountingEvaluator",
     "Database",
+    "EvalContext",
     "ExistenceChecker",
     "Literal",
     "MagicSetsEvaluator",

@@ -38,6 +38,7 @@ from ..datalog.unify import (
     unify_sequences,
 )
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.joins import evaluate_body, order_body
@@ -87,9 +88,7 @@ class BufferedChainEvaluator:
         memoize: bool = True,
         idb_solver=None,
         idb_finite=None,
-        tracer=None,
-        profiler=None,
-        budget=None,
+        ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.compiled = compiled
@@ -104,15 +103,12 @@ class BufferedChainEvaluator:
         # their finite evaluability is judged by `idb_finite`.
         self.idb_solver = idb_solver
         self.idb_finite = idb_finite
-        # Optional observe.Tracer: one chain_down event per down-phase
-        # level, one chain_up event for the whole up phase.
-        self.tracer = tracer
-        # Optional profile.SpanProfiler: stage spans per down level,
-        # for the exit phase and for the up phase.
-        self.profiler = profiler
-        # Optional resilience.Budget: checked per descent level, per
-        # buffered result row, and per streamed substitution.
-        self.budget = budget
+        # Tracer: one chain_down event per down-phase level, one
+        # chain_up event for the whole up phase; profiler: stage spans
+        # per down level, for the exit phase and for the up phase;
+        # budget: checked per descent level, per buffered result row,
+        # and per streamed substitution.
+        self.ctx = ctx
         self._injected_split = split
         chains = compiled.generating_chains()
         if len(chains) != 1:
@@ -134,26 +130,19 @@ class BufferedChainEvaluator:
                 f"query {query} is not on {self.compiled.predicate}"
             )
         counters = Counters()
-        profiler = self.profiler
-        run_span = (
-            profiler.begin("evaluate", "buffered_chain")
-            if profiler is not None
-            else None
-        )
+        run_span = self.ctx.begin("evaluate", "buffered_chain")
         try:
             return self._evaluate(query, counters)
         finally:
-            if profiler is not None:
-                profiler.end(run_span, derived=counters.derived_tuples)
+            self.ctx.end(run_span, derived=counters.derived_tuples)
 
     def _evaluate(
         self, query: Literal, counters: Counters
     ) -> Tuple[Relation, Counters]:
-        profiler = self.profiler
-        if profiler is not None:
-            # The split + body ordering is planning-grade work; give it
-            # its own stage rather than container self time.
-            setup_span = profiler.begin("stage", "chain_setup")
+        ctx = self.ctx
+        # The split + body ordering is planning-grade work; give it
+        # its own stage rather than container self time.
+        setup_span = ctx.begin("stage", "chain_setup")
         head_args = self.compiled.head_args
         rec_args = self.compiled.rec_args
         rec_literal = self.compiled.recursive_literal
@@ -204,26 +193,21 @@ class BufferedChainEvaluator:
         root = _CallNode(self._call_key(root_bindings), root_bindings)
         calls: Dict[Tuple[object, ...], _CallNode] = {root.key: root}
         frontier: List[_CallNode] = [root]
-        tracer = self.tracer
+        entry_names = sorted(entry_bound)
         depth = 0
-        if profiler is not None:
-            profiler.end(setup_span)
+        ctx.end(setup_span)
         while frontier:
             depth += 1
             if depth > self.max_depth:
                 raise BufferedEvaluationError(
                     f"down phase exceeded max depth {self.max_depth}"
                 )
-            if self.budget is not None:
-                self.budget.check_round(depth, counters)
+            ctx.check_round(depth, counters)
             next_frontier: List[_CallNode] = []
-            if profiler is not None:
-                level_span = profiler.begin("stage", f"chain_down L{depth}")
+            level_span = ctx.begin("stage", f"chain_down L{depth}")
             # One aggregated stage-count vector per level: the frontier
             # nodes all evaluate the same ordered body.
-            level_counts = (
-                [0] * len(evaluable_order) if tracer is not None else None
-            )
+            level_counts = ctx.stage_counts(len(evaluable_order))
             for node in frontier:
                 seed: Substitution = dict(node.bindings)
                 for solution in evaluate_body(
@@ -234,7 +218,7 @@ class BufferedChainEvaluator:
                     counters,
                     idb_solver=self.idb_solver,
                     stage_counts=level_counts,
-                    budget=self.budget,
+                    ctx=ctx,
                 ):
                     child_bindings: Dict[str, Term] = {}
                     for p, rec_arg in enumerate(rec_args):
@@ -256,25 +240,22 @@ class BufferedChainEvaluator:
                         calls[child_key] = child
                         next_frontier.append(child)
                     child.parents.append((node.key, {**solution, **buffered}))
-            if profiler is not None:
-                profiler.end(
-                    level_span, seeds=len(frontier), spawned=len(next_frontier)
-                )
-            if tracer is not None:
-                tracer.body_evaluated(
-                    "chain_down",
-                    evaluable_order,
-                    level_counts,
-                    seeds=len(frontier),
-                    initially_bound=sorted(entry_bound),
-                    depth=depth,
-                    spawned=len(next_frontier),
-                )
+            ctx.end(
+                level_span, seeds=len(frontier), spawned=len(next_frontier)
+            )
+            ctx.tracer.body_evaluated(
+                "chain_down",
+                evaluable_order,
+                level_counts,
+                seeds=len(frontier),
+                initially_bound=entry_names,
+                depth=depth,
+                spawned=len(next_frontier),
+            )
             frontier = next_frontier
 
         # ---- exit phase -------------------------------------------------
-        if profiler is not None:
-            exit_span = profiler.begin("stage", "chain_exit")
+        exit_span = ctx.begin("stage", "chain_exit")
         changed: List[_CallNode] = []
         for node in calls.values():
             for row in self._exit_rows(node, counters):
@@ -282,22 +263,17 @@ class BufferedChainEvaluator:
                     node.results.add(row)
             if node.results:
                 changed.append(node)
-        if profiler is not None:
-            profiler.end(
-                exit_span, calls=len(calls), with_exit_rows=len(changed)
-            )
-        if tracer is not None:
-            tracer.phase(
-                "chain_exit", calls=len(calls), with_exit_rows=len(changed)
-            )
+        ctx.end(exit_span, calls=len(calls), with_exit_rows=len(changed))
+        ctx.tracer.phase(
+            "chain_exit", calls=len(calls), with_exit_rows=len(changed)
+        )
 
         # ---- up phase: propagate results through the delayed portion ---
-        if profiler is not None:
-            up_span = profiler.begin("stage", "chain_up")
+        up_span = ctx.begin("stage", "chain_up")
         head_names = [a.name for a in head_args]
         pending = list(changed)
         processed_pairs: Set[Tuple[Tuple[object, ...], Tuple[Term, ...]]] = set()
-        up_counts = [0] * len(delayed_order) if tracer is not None else None
+        up_counts = ctx.stage_counts(len(delayed_order))
         resumed_calls = 0
         up_derived_before = counters.derived_tuples
         while pending:
@@ -325,7 +301,7 @@ class BufferedChainEvaluator:
                         counters,
                         idb_solver=self.idb_solver,
                         stage_counts=up_counts,
-                        budget=self.budget,
+                        ctx=ctx,
                     ):
                         row = tuple(
                             apply_substitution(Var(name), solution)
@@ -336,17 +312,15 @@ class BufferedChainEvaluator:
                         if row not in parent.results:
                             parent.results.add(row)
                             counters.derived_tuples += 1
-                            if self.budget is not None:
-                                self.budget.check_tuple(counters)
+                            ctx.check_tuple(counters)
                             pending.append(parent)
-        if profiler is not None:
-            profiler.end(
-                up_span,
-                resumed=resumed_calls,
-                derived=counters.derived_tuples - up_derived_before,
-            )
-        if tracer is not None and delayed_order:
-            tracer.body_evaluated(
+        ctx.end(
+            up_span,
+            resumed=resumed_calls,
+            derived=counters.derived_tuples - up_derived_before,
+        )
+        if ctx.recording and delayed_order:
+            ctx.tracer.body_evaluated(
                 "chain_up",
                 delayed_order,
                 up_counts,
@@ -406,7 +380,7 @@ class BufferedChainEvaluator:
                 unified,
                 counters,
                 idb_solver=self.idb_solver,
-                budget=self.budget,
+                ctx=self.ctx,
             ):
                 row = tuple(
                     apply_substitution(arg, solution)

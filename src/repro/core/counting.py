@@ -24,6 +24,7 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Term, Var, is_ground
 from ..datalog.unify import Substitution, apply_substitution, unify_sequences
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.joins import evaluate_body, order_body
@@ -49,20 +50,13 @@ class CountingEvaluator:
         compiled: CompiledRecursion,
         registry: Optional[BuiltinRegistry] = None,
         max_depth: int = 10_000,
-        tracer=None,
-        profiler=None,
-        budget=None,
+        ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.compiled = compiled
         self.registry = registry if registry is not None else default_registry()
         self.max_depth = max_depth
-        self.tracer = tracer
-        # Optional profile.SpanProfiler, same discipline as the tracer.
-        self.profiler = profiler
-        # Optional resilience.Budget: checked per descent level, per
-        # derived answer, and per streamed substitution.
-        self.budget = budget
+        self.ctx = ctx
         chains = compiled.generating_chains()
         if len(chains) < 2:
             raise CountingError(
@@ -78,24 +72,17 @@ class CountingEvaluator:
         if query.predicate != self.compiled.predicate:
             raise CountingError(f"query {query} is not on {self.compiled.predicate}")
         counters = Counters()
-        profiler = self.profiler
-        run_span = (
-            profiler.begin("evaluate", "counting")
-            if profiler is not None
-            else None
-        )
+        run_span = self.ctx.begin("evaluate", "counting")
         try:
             return self._evaluate(query, counters)
         finally:
-            if profiler is not None:
-                profiler.end(run_span, derived=counters.derived_tuples)
+            self.ctx.end(run_span, derived=counters.derived_tuples)
 
     def _evaluate(
         self, query: Literal, counters: Counters
     ) -> Tuple[Relation, Counters]:
-        profiler = self.profiler
-        if profiler is not None:
-            setup_span = profiler.begin("stage", "count_setup")
+        ctx = self.ctx
+        setup_span = ctx.begin("stage", "count_setup")
         head_args = self.compiled.head_args
         rec_args = self.compiled.rec_args
         if not all(isinstance(a, Var) for a in head_args):
@@ -124,12 +111,11 @@ class CountingEvaluator:
         down_positions = [p for p in down.head_positions]
         down_rec_positions = [p for p in down.rec_positions]
 
-        tracer = self.tracer
-        down_bound = {
+        down_bound = sorted(
             head_args[p].name
             for p in down_positions
             if isinstance(head_args[p], Var)
-        }
+        )
         frontiers: List[Set[Tuple[Term, ...]]] = []
         current: Set[Tuple[Term, ...]] = {
             tuple(
@@ -137,23 +123,20 @@ class CountingEvaluator:
             )
         }
         seen_states: Set[frozenset] = set()
-        if profiler is not None:
-            profiler.end(setup_span)
+        ctx.end(setup_span)
         while current:
             frontiers.append(current)
-            if profiler is not None:
-                # Opened before the frontier-state cycle check: hashing
-                # the whole frontier is part of this level's work.
-                level_span = profiler.begin(
-                    "stage", f"count_down L{len(frontiers) - 1}"
-                )
+            # Opened before the frontier-state cycle check: hashing
+            # the whole frontier is part of this level's work.
+            level_span = ctx.begin(
+                "stage", f"count_down L{len(frontiers) - 1}"
+            )
             counters.buffered_values += len(current)
             if len(frontiers) > self.max_depth:
                 raise CountingError(
                     "down chain exceeded max depth (cyclic data?)"
                 )
-            if self.budget is not None:
-                self.budget.check_round(len(frontiers), counters)
+            ctx.check_round(len(frontiers), counters)
             state = frozenset(current)
             if state in seen_states:
                 raise CountingError(
@@ -161,9 +144,7 @@ class CountingEvaluator:
                     "not supported by plain counting (see ref [5])"
                 )
             seen_states.add(state)
-            level_counts = (
-                [0] * len(down_order) if tracer is not None else None
-            )
+            level_counts = ctx.stage_counts(len(down_order))
             next_frontier: Set[Tuple[Term, ...]] = set()
             for values in current:
                 level_seed = {
@@ -173,7 +154,7 @@ class CountingEvaluator:
                 }
                 for solution in evaluate_body(
                     down_order, lookup, self.registry, level_seed, counters,
-                    stage_counts=level_counts, budget=self.budget,
+                    stage_counts=level_counts, ctx=ctx,
                 ):
                     next_values = tuple(
                         apply_substitution(rec_args[p], solution)
@@ -181,29 +162,24 @@ class CountingEvaluator:
                     )
                     if all(is_ground(v) for v in next_values):
                         next_frontier.add(next_values)
-            if profiler is not None:
-                profiler.end(
-                    level_span,
-                    seeds=len(current),
-                    spawned=len(next_frontier),
-                )
-            if tracer is not None:
-                tracer.body_evaluated(
-                    "count_down",
-                    down_order,
-                    level_counts,
-                    seeds=len(current),
-                    initially_bound=sorted(down_bound),
-                    depth=len(frontiers) - 1,
-                    spawned=len(next_frontier),
-                )
+            ctx.end(
+                level_span, seeds=len(current), spawned=len(next_frontier)
+            )
+            ctx.tracer.body_evaluated(
+                "count_down",
+                down_order,
+                level_counts,
+                seeds=len(current),
+                initially_bound=down_bound,
+                depth=len(frontiers) - 1,
+                spawned=len(next_frontier),
+            )
             current = next_frontier
 
         # ---- exit phase: cross the exit rules at each level -----------
         # Answers at level i map the down-chain values to full head
         # tuples of the *innermost* call; the up phase then rewinds.
-        if profiler is not None:
-            exit_span = profiler.begin("stage", "count_exit")
+        exit_span = ctx.begin("stage", "count_exit")
         per_level_exit: List[List[Substitution]] = []
         for level, frontier in enumerate(frontiers):
             level_solutions: List[Substitution] = []
@@ -228,7 +204,7 @@ class CountingEvaluator:
                     )
                     for solution in evaluate_body(
                         exit_order, lookup, self.registry, unified, counters,
-                        budget=self.budget,
+                        ctx=ctx,
                     ):
                         head_values = tuple(
                             apply_substitution(a, solution)
@@ -247,22 +223,19 @@ class CountingEvaluator:
                             )
                         )
             per_level_exit.append(level_solutions)
-        if profiler is not None:
-            profiler.end(
-                exit_span,
-                levels=len(frontiers),
-                exit_solutions=sum(len(s) for s in per_level_exit),
+        if ctx.recording:
+            exit_solutions = sum(len(s) for s in per_level_exit)
+            ctx.end(
+                exit_span, levels=len(frontiers), exit_solutions=exit_solutions
             )
-        if tracer is not None:
-            tracer.phase(
+            ctx.tracer.phase(
                 "count_exit",
                 levels=len(frontiers),
-                exit_solutions=sum(len(s) for s in per_level_exit),
+                exit_solutions=exit_solutions,
             )
 
         # ---- up phase: ascend every remaining chain level by level ----
-        if profiler is not None:
-            up_span = profiler.begin("stage", "count_up")
+        up_span = ctx.begin("stage", "count_up")
         up_orders = [
             order_body(
                 up.literals,
@@ -275,10 +248,7 @@ class CountingEvaluator:
             )
             for up in up_chains
         ]
-        up_counts = [
-            [0] * len(up_order) if tracer is not None else None
-            for up_order in up_orders
-        ]
+        up_counts = [ctx.stage_counts(len(order)) for order in up_orders]
         up_seeds = [[0] for _ in up_chains]
         answers = Relation(query.name, query.arity)
         for level in range(len(frontiers) - 1, -1, -1):
@@ -319,15 +289,13 @@ class CountingEvaluator:
                 if unify_sequences(query.args, tuple(row)) is not None:
                     if answers.add(tuple(row)):
                         counters.derived_tuples += 1
-                        if self.budget is not None:
-                            self.budget.check_tuple(counters)
-        if profiler is not None:
-            profiler.end(up_span, derived=len(answers))
-        if tracer is not None:
+                        ctx.check_tuple(counters)
+        ctx.end(up_span, derived=len(answers))
+        if ctx.recording:
             for up, up_order, chain_counts, seed_counter in zip(
                 up_chains, up_orders, up_counts, up_seeds
             ):
-                tracer.body_evaluated(
+                ctx.tracer.body_evaluated(
                     "count_up",
                     up_order,
                     chain_counts,
@@ -368,7 +336,7 @@ class CountingEvaluator:
                         rec_seed[arg.name] = value
             for up_solution in evaluate_body(
                 up_order, lookup, self.registry, rec_seed, counters,
-                stage_counts=stage_counts, budget=self.budget,
+                stage_counts=stage_counts, ctx=self.ctx,
             ):
                 climbed = dict(solution)
                 for p in up.head_positions:

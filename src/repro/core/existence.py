@@ -24,6 +24,7 @@ from ..datalog.literals import Literal
 from ..datalog.parser import parse_query
 from ..datalog.unify import unify_sequences
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.topdown import TopDownEvaluator
@@ -40,15 +41,15 @@ class ExistenceChecker:
         database: Database,
         registry: Optional[BuiltinRegistry] = None,
         max_steps: int = 5_000_000,
-        budget=None,
+        ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.registry = registry if registry is not None else default_registry()
         self.max_steps = max_steps
-        # Optional resilience.Budget bounding the existence probe —
-        # the circuit breaker's degraded path uses a tight one so even
-        # "does any answer exist?" cannot blow up on a poisoned shape.
-        self.budget = budget
+        # The circuit breaker's degraded path probes under a context
+        # with a tight budget, so even "does any answer exist?" cannot
+        # blow up on a poisoned shape.
+        self.ctx = ctx
 
     # ------------------------------------------------------------------
     def exists_top_down(self, query_source) -> Tuple[bool, Counters]:
@@ -56,7 +57,7 @@ class ExistenceChecker:
         goals = self._goals(query_source)
         evaluator = TopDownEvaluator(
             self.database, self.registry, max_steps=self.max_steps,
-            budget=self.budget,
+            ctx=self.ctx,
         )
         for _ in evaluator.solve(goals):
             return True, evaluator.counters
@@ -83,7 +84,7 @@ class ExistenceChecker:
             )
 
         magic_evaluator = MagicSetsEvaluator(
-            self.database, self.registry, budget=self.budget
+            self.database, self.registry, ctx=self.ctx
         )
         answers, counters, _ = magic_evaluator.evaluate(
             query, stop_condition=witnessed

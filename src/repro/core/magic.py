@@ -28,6 +28,7 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Term, Var, is_ground, term_variables
 from ..datalog.unify import unify_sequences, apply_substitution
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.relation import Relation
@@ -312,9 +313,7 @@ class MagicSetsEvaluator:
         cost_model: Optional[CostModel] = None,
         chain_split: bool = False,
         supplementary: bool = False,
-        tracer=None,
-        profiler=None,
-        budget=None,
+        ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.registry = registry if registry is not None else default_registry()
@@ -323,16 +322,11 @@ class MagicSetsEvaluator:
         self.cost_model = cost_model
         self.chain_split = chain_split
         self.supplementary = supplementary
-        # Optional observe.Tracer, handed down to the semi-naive run
-        # over the rewritten program.
-        self.tracer = tracer
-        # Optional profile.SpanProfiler: a plan span for the rewrite,
-        # then handed down like the tracer.
-        self.profiler = profiler
-        # Optional resilience.Budget, handed down the same way.  Magic
-        # tuples are derived tuples, so an un-split blowup trips the
-        # tuple ceiling while the magic set is still being computed.
-        self.budget = budget
+        # Handed down to the semi-naive run over the rewritten program.
+        # Magic tuples are derived tuples, so under a budget an un-split
+        # blowup trips the tuple ceiling while the magic set is still
+        # being computed.
+        self.ctx = ctx
 
     def rewrite(self, query: Literal) -> MagicProgram:
         hook = (
@@ -371,15 +365,13 @@ class MagicSetsEvaluator:
         checking, §5).  The answers accumulated up to the abort are
         still returned.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            rewrite_span = profiler.begin("plan", "magic_rewrite")
+        ctx = self.ctx
+        rewrite_span = ctx.begin("plan", "magic_rewrite")
         magic = self.rewrite(query)
-        if profiler is not None:
-            profiler.end(rewrite_span, rules=len(magic.program))
+        ctx.end(rewrite_span, rules=len(magic.program))
         scratch = self._scratch(magic)
-        if self.tracer is not None:
-            self.tracer.phase(
+        if ctx.recording:
+            ctx.tracer.phase(
                 "magic_rewrite",
                 query=str(query),
                 chain_split=self.chain_split,
@@ -398,20 +390,17 @@ class MagicSetsEvaluator:
                 return relation is not None and stop_condition(relation)
 
         result = SemiNaiveEvaluator(
-            scratch, self.registry, tracer=self.tracer, profiler=profiler,
-            budget=self.budget,
+            scratch, self.registry, ctx=ctx
         ).evaluate(magic.program, stop_condition=seminaive_stop)
         answers_full = result.relation(
             magic.answer_predicate.name, magic.answer_predicate.arity
         )
-        if profiler is not None:
-            filter_span = profiler.begin("stage", "answer_filter")
+        filter_span = ctx.begin("stage", "answer_filter")
         answers = Relation(query.name, query.arity)
         for row in answers_full:
             if unify_sequences(query.args, row) is not None:
                 answers.add(row)
-        if profiler is not None:
-            profiler.end(filter_span, answers=len(answers))
+        ctx.end(filter_span, answers=len(answers))
         return answers, result.counters, magic
 
     def magic_set_sizes(self, query: Literal) -> Dict[str, int]:

@@ -28,6 +28,7 @@ from ..datalog.literals import Literal, Predicate
 from ..datalog.terms import Term, Var, is_ground
 from ..datalog.unify import Substitution, apply_substitution, unify_sequences
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.relation import Relation
@@ -65,15 +66,15 @@ class NestedChainEvaluator:
         predicate: Predicate,
         registry: Optional[BuiltinRegistry] = None,
         max_depth: int = 100_000,
-        budget=None,
+        ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.predicate = predicate
         self.registry = registry if registry is not None else default_registry()
         self.max_depth = max_depth
-        # Optional resilience.Budget, handed to every inner buffered
-        # evaluation (outer recursion and nested inner calls alike).
-        self.budget = budget
+        # Handed to every inner buffered evaluation (outer recursion
+        # and nested inner calls alike).
+        self.ctx = ctx
         self._compiled: Dict[Predicate, CompiledRecursion] = {}
         self._call_cache: Dict[Tuple[Predicate, Tuple[object, ...]], Relation] = {}
         self.counters = Counters()
@@ -82,7 +83,15 @@ class NestedChainEvaluator:
     def evaluate(self, query: Literal) -> Tuple[Relation, Counters]:
         """Answers (as a relation over the query arguments) + counters."""
         self.counters = Counters()
-        answers = self._evaluate_call(query)
+        run_span = self.ctx.begin("evaluate", "nested_chain")
+        try:
+            answers = self._evaluate_call(query)
+        finally:
+            self.ctx.end(
+                run_span,
+                derived=self.counters.derived_tuples,
+                calls=len(self._call_cache),
+            )
         return answers, self.counters
 
     # ------------------------------------------------------------------
@@ -90,18 +99,25 @@ class NestedChainEvaluator:
         if predicate not in self._compiled:
             from ..analysis.chains import compile_recursion
 
-            kind = classify_recursion(self.database.program, predicate)
-            if kind not in {
-                RecursionClass.LINEAR,
-                RecursionClass.NESTED_LINEAR,
-            }:
-                raise NestedEvaluationError(
-                    f"{predicate} is {kind}; nested chain-split evaluation "
-                    "covers linear and nested-linear recursions"
+            # Chain compilation is planning-grade work done at run
+            # time; attribute it rather than leave it as container
+            # self time.
+            span = self.ctx.begin("stage", f"chain_compile {predicate}")
+            try:
+                kind = classify_recursion(self.database.program, predicate)
+                if kind not in {
+                    RecursionClass.LINEAR,
+                    RecursionClass.NESTED_LINEAR,
+                }:
+                    raise NestedEvaluationError(
+                        f"{predicate} is {kind}; nested chain-split "
+                        "evaluation covers linear and nested-linear recursions"
+                    )
+                self._compiled[predicate] = compile_recursion(
+                    self.database.program, predicate, self.registry
                 )
-            self._compiled[predicate] = compile_recursion(
-                self.database.program, predicate, self.registry
-            )
+            finally:
+                self.ctx.end(span)
         return self._compiled[predicate]
 
     def _evaluate_call(self, query: Literal) -> Relation:
@@ -125,7 +141,7 @@ class NestedChainEvaluator:
             max_depth=self.max_depth,
             idb_solver=self._solve_idb,
             idb_finite=self._idb_finite,
-            budget=self.budget,
+            ctx=self.ctx,
         )
         answers, counters = evaluator.evaluate(query)
         self.counters.merge(counters)

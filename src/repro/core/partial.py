@@ -33,6 +33,7 @@ from ..datalog.unify import (
     unify_sequences,
 )
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.joins import evaluate_body, order_body
@@ -90,22 +91,17 @@ class PartialChainEvaluator:
         constraints: Sequence[Literal] = (),
         split: Optional[PathSplit] = None,
         max_depth: int = 10_000,
-        tracer=None,
-        profiler=None,
-        budget=None,
+        ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.compiled = compiled
         self.registry = registry if registry is not None else default_registry()
         self.constraints = list(constraints)
         self.max_depth = max_depth
-        # Optional observe.Tracer: one descent event per frontier level.
-        self.tracer = tracer
-        # Optional profile.SpanProfiler, same discipline as the tracer.
-        self.profiler = profiler
-        # Optional resilience.Budget: checked per descent level, per
-        # admitted answer, and per streamed substitution.
-        self.budget = budget
+        # Tracer: one descent event per frontier level; budget: checked
+        # per descent level, per admitted answer, and per streamed
+        # substitution.
+        self.ctx = ctx
         self._injected_split = split
         chains = compiled.generating_chains()
         if len(chains) != 1:
@@ -126,28 +122,21 @@ class PartialChainEvaluator:
                 f"query {query} is not on {self.compiled.predicate}"
             )
         counters = Counters()
-        profiler = self.profiler
-        run_span = (
-            profiler.begin("evaluate", "partial_chain")
-            if profiler is not None
-            else None
-        )
+        run_span = self.ctx.begin("evaluate", "partial_chain")
         try:
             return self._evaluate(query, counters)
         finally:
-            if profiler is not None:
-                profiler.end(
-                    run_span,
-                    derived=counters.derived_tuples,
-                    pruned=counters.pruned_tuples,
-                )
+            self.ctx.end(
+                run_span,
+                derived=counters.derived_tuples,
+                pruned=counters.pruned_tuples,
+            )
 
     def _evaluate(
         self, query: Literal, counters: Counters
     ) -> Tuple[Relation, Counters]:
-        profiler = self.profiler
-        if profiler is not None:
-            setup_span = profiler.begin("stage", "descent_setup")
+        ctx = self.ctx
+        setup_span = ctx.begin("stage", "descent_setup")
         head_args = self.compiled.head_args
         rec_args = self.compiled.rec_args
         rec_literal = self.compiled.recursive_literal
@@ -199,10 +188,9 @@ class PartialChainEvaluator:
         answers = Relation(query.name, query.arity)
         frontier: List[_Frame] = [start]
         seen: Set[Tuple[object, ...]] = {start.key()}
-        tracer = self.tracer
+        entry_names = sorted(entry_bound)
         depth = 0
-        if profiler is not None:
-            profiler.end(setup_span)
+        ctx.end(setup_span)
         while frontier:
             if depth > self.max_depth:
                 raise PartialEvaluationError(
@@ -211,13 +199,9 @@ class PartialChainEvaluator:
                     "step 4)"
                 )
             depth += 1
-            if self.budget is not None:
-                self.budget.check_round(depth, counters)
-            if profiler is not None:
-                level_span = profiler.begin("stage", f"descent L{depth}")
-            level_counts = (
-                [0] * len(evaluable_order) if tracer is not None else None
-            )
+            ctx.check_round(depth, counters)
+            level_span = ctx.begin("stage", f"descent L{depth}")
+            level_counts = ctx.stage_counts(len(evaluable_order))
             pruned_before = counters.pruned_tuples
             next_frontier: List[_Frame] = []
             for frame in frontier:
@@ -234,7 +218,7 @@ class PartialChainEvaluator:
                 seed: Substitution = dict(frame.call)
                 for solution in evaluate_body(
                     evaluable_order, lookup, self.registry, seed, counters,
-                    stage_counts=level_counts, budget=self.budget,
+                    stage_counts=level_counts, ctx=ctx,
                 ):
                     new_acc: List[object] = []
                     admissible = True
@@ -289,24 +273,23 @@ class PartialChainEvaluator:
                     if child_key not in seen:
                         seen.add(child_key)
                         next_frontier.append(child)
-            if profiler is not None:
-                profiler.end(
-                    level_span,
-                    seeds=len(frontier),
-                    spawned=len(next_frontier),
-                    pruned=counters.pruned_tuples - pruned_before,
-                )
-            if tracer is not None:
-                tracer.body_evaluated(
-                    "descent",
-                    evaluable_order,
-                    level_counts,
-                    seeds=len(frontier),
-                    initially_bound=sorted(entry_bound),
-                    depth=depth,
-                    spawned=len(next_frontier),
-                    pruned=counters.pruned_tuples - pruned_before,
-                )
+            pruned = counters.pruned_tuples - pruned_before
+            ctx.end(
+                level_span,
+                seeds=len(frontier),
+                spawned=len(next_frontier),
+                pruned=pruned,
+            )
+            ctx.tracer.body_evaluated(
+                "descent",
+                evaluable_order,
+                level_counts,
+                seeds=len(frontier),
+                initially_bound=entry_names,
+                depth=depth,
+                spawned=len(next_frontier),
+                pruned=pruned,
+            )
             frontier = next_frontier
         return answers, counters
 
@@ -387,7 +370,7 @@ class PartialChainEvaluator:
             )
             for solution in evaluate_body(
                 exit_order, lookup, self.registry, unified, counters,
-                budget=self.budget,
+                ctx=self.ctx,
             ):
                 exit_row = [
                     apply_substitution(arg, solution)
@@ -451,8 +434,7 @@ class PartialChainEvaluator:
             return
         if answers.add(tuple(row)):
             counters.derived_tuples += 1
-            if self.budget is not None:
-                self.budget.check_tuple(counters)
+            self.ctx.check_tuple(counters)
 
     def _residual_ok(
         self,

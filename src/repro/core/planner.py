@@ -38,6 +38,7 @@ from ..datalog.rules import Program
 from ..datalog.terms import Struct, Term, Var, is_ground
 from ..datalog.unify import Substitution, apply_substitution, unify_sequences
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.relation import Relation
@@ -198,17 +199,6 @@ class Planner:
             else CostModel(database, self.registry)
         )
         self.max_depth = max_depth
-        # Optional observe.Tracer; when set, planning emits strategy/
-        # split-decision events and every executor hands the tracer to
-        # its evaluator.  None keeps the fast path everywhere.
-        self.tracer = None
-        # Optional profile.SpanProfiler, same discipline: planning and
-        # execution record spans, executors hand it to their evaluator.
-        self.profiler = None
-        # Optional resilience.Budget, installed per query by callers
-        # (the session does this under its lock); every executor hands
-        # it to its evaluator.  None keeps the fast path.
-        self.budget = None
         self._normalized = NormalizedProgram(database.program, self.registry)
         self._analysis_idb_version = database.idb_version
         # The rectified database shares EDB relations with the original.
@@ -236,33 +226,28 @@ class Planner:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def plan(self, query_source) -> QueryPlan:
+    def plan(self, query_source, ctx: EvalContext = DISABLED) -> QueryPlan:
         """Build a plan for a query given as source text or goal list.
 
         The first non-comparison goal is the query literal; remaining
         comparison goals become constraints (candidates for pushing).
+        Under a recording ``ctx``, planning runs inside a ``plan`` span
+        and emits ``split_decision`` / ``strategy`` events.
         """
-        profiler = self.profiler
-        plan_span = (
-            profiler.begin("plan", "plan") if profiler is not None else None
-        )
+        plan_span = ctx.begin("plan", "plan")
         try:
-            plan = self._plan_inner(query_source)
+            plan = self._plan_inner(query_source, ctx)
         except BaseException:
-            if profiler is not None:
-                profiler.end(plan_span)
+            ctx.end(plan_span)
             raise
-        if profiler is not None:
-            profiler.end(
-                plan_span, query=str(plan.query), strategy=plan.strategy
-            )
-        if self.tracer is not None:
-            self.tracer.strategy_chosen(
+        if ctx.recording:
+            ctx.end(plan_span, query=str(plan.query), strategy=plan.strategy)
+            ctx.tracer.strategy_chosen(
                 str(plan.query), plan.strategy, plan.recursion_class, plan.notes
             )
         return plan
 
-    def _plan_inner(self, query_source) -> QueryPlan:
+    def _plan_inner(self, query_source, ctx: EvalContext) -> QueryPlan:
         self.refresh()
         query, constraints = self._parse(query_source)
         predicate = query.predicate
@@ -293,7 +278,9 @@ class Planner:
             return QueryPlan(query, constraints, strategy, recursion_class)
 
         if recursion_class == RecursionClass.LINEAR:
-            return self._plan_linear(query, constraints, recursion_class, functional)
+            return self._plan_linear(
+                query, constraints, recursion_class, functional, ctx
+            )
 
         if recursion_class == RecursionClass.NESTED_LINEAR:
             return QueryPlan(
@@ -321,8 +308,12 @@ class Planner:
         # Mutual recursion.
         return QueryPlan(query, constraints, Strategy.MAGIC, recursion_class)
 
-    def execute(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
-        """Run a plan; answers as a relation over the query arguments."""
+    def execute(
+        self, plan: QueryPlan, ctx: EvalContext = DISABLED
+    ) -> Tuple[Relation, Counters]:
+        """Run a plan; answers as a relation over the query arguments.
+
+        ``ctx`` is handed to whichever evaluator the strategy runs."""
         self.refresh()
         dispatch = {
             Strategy.SEMI_NAIVE: self._run_semi_naive,
@@ -338,24 +329,18 @@ class Planner:
         runner = dispatch.get(plan.strategy)
         if runner is None:
             raise PlanningError(f"no executor for strategy {plan.strategy}")
-        profiler = self.profiler
-        exec_span = (
-            profiler.begin("query", f"execute {plan.strategy}")
-            if profiler is not None
-            else None
-        )
+        exec_span = ctx.begin("query", f"execute {plan.strategy}")
         try:
-            answers, counters = runner(plan)
+            answers, counters = runner(plan, ctx)
             answers = self._apply_residual_constraints(plan, answers, counters)
         finally:
-            if profiler is not None:
-                profiler.end(exec_span, strategy=plan.strategy)
+            ctx.end(exec_span, strategy=plan.strategy)
         return answers, counters
 
-    def answer(self, query_source) -> Relation:
+    def answer(self, query_source, ctx: EvalContext = DISABLED) -> Relation:
         """Plan + execute in one call."""
-        plan = self.plan(query_source)
-        answers, _ = self.execute(plan)
+        plan = self.plan(query_source, ctx)
+        answers, _ = self.execute(plan, ctx)
         return answers
 
     def answer_rows(self, query_source) -> List[Tuple[Term, ...]]:
@@ -433,7 +418,8 @@ class Planner:
         query: Literal,
         constraints: List[Literal],
         recursion_class: str,
-        functional: bool = False,
+        functional: bool,
+        ctx: EvalContext,
     ) -> QueryPlan:
         try:
             compiled = self._normalized.compiled(query.predicate)
@@ -469,7 +455,7 @@ class Planner:
         if len(chains) == 1:
             decision = decide_split(
                 self._rect_db, compiled, query, chains[0], self.cost_model,
-                self.registry, tracer=self.tracer,
+                self.registry, ctx=ctx,
             )
             if not decision.is_split:
                 return QueryPlan(
@@ -539,28 +525,24 @@ class Planner:
     # ------------------------------------------------------------------
     # Executors
     # ------------------------------------------------------------------
-    def _run_semi_naive(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
+    def _run_semi_naive(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
         result = SemiNaiveEvaluator(
-            self.database,
-            self.registry,
-            tracer=self.tracer,
-            profiler=self.profiler,
-            budget=self.budget,
+            self.database, self.registry, ctx=ctx
         ).evaluate()
-        return self._filter(plan.query, result.relations), result.counters
+        return self._filter(plan.query, result.relations, ctx), result.counters
 
-    def _run_magic(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
-        evaluator = MagicSetsEvaluator(
-            self.database,
-            self.registry,
-            tracer=self.tracer,
-            profiler=self.profiler,
-            budget=self.budget,
-        )
+    def _run_magic(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
+        evaluator = MagicSetsEvaluator(self.database, self.registry, ctx=ctx)
         answers, counters, _ = evaluator.evaluate(plan.query)
         return answers, counters
 
-    def _run_magic_split(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
+    def _run_magic_split(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
         # Supplementary predicates share the propagated prefix between
         # the magic and answer rules; together with the chain-split
         # propagation rule this is the cheapest scsg-style plan by a
@@ -571,43 +553,43 @@ class Planner:
             cost_model=self.cost_model,
             chain_split=True,
             supplementary=True,
-            tracer=self.tracer,
-            profiler=self.profiler,
-            budget=self.budget,
+            ctx=ctx,
         )
         answers, counters, _ = evaluator.evaluate(plan.query)
         return answers, counters
 
-    def _run_counting(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
+    def _run_counting(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
         try:
             evaluator = CountingEvaluator(
                 self._rect_db,
                 plan.compiled,
                 self.registry,
                 max_depth=self.max_depth,
-                tracer=self.tracer,
-                profiler=self.profiler,
-                budget=self.budget,
+                ctx=ctx,
             )
             return evaluator.evaluate(plan.query)
         except CountingError:
             # Cyclic data or inapplicable shape: magic sets fallback.
-            return self._run_magic(plan)
+            return self._run_magic(plan, ctx)
 
-    def _run_buffered(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
+    def _run_buffered(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
         evaluator = BufferedChainEvaluator(
             self._rect_db,
             plan.compiled,
             self.registry,
             split=plan.split_decision.split if plan.split_decision else None,
             max_depth=self.max_depth,
-            tracer=self.tracer,
-            profiler=self.profiler,
-            budget=self.budget,
+            ctx=ctx,
         )
         return evaluator.evaluate(plan.query)
 
-    def _run_partial(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
+    def _run_partial(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
         try:
             evaluator = PartialChainEvaluator(
                 self._rect_db,
@@ -616,34 +598,35 @@ class Planner:
                 constraints=plan.constraints,
                 split=plan.split_decision.split if plan.split_decision else None,
                 max_depth=self.max_depth,
-                tracer=self.tracer,
-                profiler=self.profiler,
-                budget=self.budget,
+                ctx=ctx,
             )
             return evaluator.evaluate(plan.query)
         except PartialEvaluationError:
-            return self._run_buffered(plan)
+            return self._run_buffered(plan, ctx)
 
-    def _run_nested(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
+    def _run_nested(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
         try:
             evaluator = NestedChainEvaluator(
                 self._rect_db,
                 plan.query.predicate,
                 self.registry,
                 max_depth=self.max_depth,
-                budget=self.budget,
+                ctx=ctx,
             )
             return evaluator.evaluate(plan.query)
         except (NestedEvaluationError, ValueError):
             # BudgetExceeded is a RuntimeError and deliberately NOT
             # caught here: a blown budget must surface, not trigger a
             # second (equally doomed) top-down attempt.
-            return self._run_top_down(plan)
+            return self._run_top_down(plan, ctx)
 
-    def _run_top_down(self, plan: QueryPlan) -> Tuple[Relation, Counters]:
+    def _run_top_down(
+        self, plan: QueryPlan, ctx: EvalContext
+    ) -> Tuple[Relation, Counters]:
         evaluator = TopDownEvaluator(
-            self._rect_db, self.registry, selection="deferred",
-            budget=self.budget,
+            self._rect_db, self.registry, selection="deferred", ctx=ctx
         )
         answers = Relation(plan.query.name, plan.query.arity)
         goals = [plan.query, *plan.constraints]
@@ -659,14 +642,12 @@ class Planner:
     # Helpers
     # ------------------------------------------------------------------
     def _filter(
-        self, query: Literal, relations: Dict[Predicate, Relation]
+        self,
+        query: Literal,
+        relations: Dict[Predicate, Relation],
+        ctx: EvalContext = DISABLED,
     ) -> Relation:
-        profiler = self.profiler
-        filter_span = (
-            profiler.begin("stage", "answer_filter")
-            if profiler is not None
-            else None
-        )
+        filter_span = ctx.begin("stage", "answer_filter")
         answers = Relation(query.name, query.arity)
         source = relations.get(query.predicate)
         if source is None:
@@ -675,8 +656,7 @@ class Planner:
             for row in source:
                 if unify_sequences(query.args, row) is not None:
                     answers.add(row)
-        if profiler is not None:
-            profiler.end(filter_span, answers=len(answers))
+        ctx.end(filter_span, answers=len(answers))
         return answers
 
     def _apply_residual_constraints(

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..datalog.literals import Literal
 from ..datalog.terms import Var, is_ground
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.database import Database
 from ..analysis.chains import ChainPath, CompiledRecursion
 from ..analysis.cost import CostModel, LinkageDecision
@@ -91,13 +92,13 @@ def decide_split(
     chain: Optional[ChainPath] = None,
     cost_model: Optional[CostModel] = None,
     registry: Optional[BuiltinRegistry] = None,
-    tracer=None,
+    ctx: EvalContext = DISABLED,
 ) -> ChainSplitDecision:
     """Decide whether (and how) to split one chain of ``compiled`` for
     ``query``; defaults to the recursion's single generating chain.
 
-    ``tracer`` (an :class:`~repro.observe.tracer.Tracer`) receives the
-    decision as a ``split_decision`` event."""
+    ``ctx``'s tracer receives the decision as a ``split_decision``
+    event."""
     registry = registry if registry is not None else default_registry()
     if chain is None:
         chains = compiled.generating_chains()
@@ -115,8 +116,7 @@ def decide_split(
             chain, entry, compiled.recursive_literal, registry, database
         )
         decision = ChainSplitDecision(chain, split, "finiteness")
-        if tracer is not None:
-            tracer.split_decision(decision)
+        ctx.tracer.split_decision(decision)
         return decision
 
     # 2. Efficiency criterion — cost-based (Algorithm 3.1).
@@ -125,6 +125,5 @@ def decide_split(
     split, decisions = cost_model.efficiency_split(chain, entry)
     criterion = "efficiency" if split.needs_split else "none"
     decision = ChainSplitDecision(chain, split, criterion, decisions)
-    if tracer is not None:
-        tracer.split_decision(decision)
+    ctx.tracer.split_decision(decision)
     return decision

@@ -10,6 +10,7 @@ from .builtins import (
     evaluate_arithmetic,
     is_builtin_name,
 )
+from .context import EvalContext
 from .counters import Counters
 from .database import Database, FinitenessConstraint
 from .io import load_facts_csv, load_program_file, save_facts_csv
@@ -29,6 +30,7 @@ __all__ = [
     "CatalogStatistics",
     "Counters",
     "Database",
+    "EvalContext",
     "EvaluationResult",
     "FinitenessConstraint",
     "NaiveEvaluator",

@@ -39,6 +39,7 @@ from ..datalog.literals import Literal, Predicate
 from ..datalog.terms import Const, Struct, Term, Var, is_ground, term_variables
 from ..datalog.unify import Substitution, apply_substitution, match, unify
 from .builtins import BuiltinError, BuiltinRegistry
+from .context import DISABLED, EvalContext
 from .counters import Counters
 from .relation import Relation, RelationWindow, Row
 
@@ -183,7 +184,7 @@ def evaluate_body(
     overrides: Optional[Dict[int, RelationLike]] = None,
     idb_solver: Optional[IdbSolver] = None,
     stage_counts: Optional[List[int]] = None,
-    budget=None,
+    ctx: EvalContext = DISABLED,
 ) -> Iterator[Substitution]:
     """Evaluate an ordered body, lazily yielding complete solutions.
 
@@ -210,11 +211,12 @@ def evaluate_body(
     exactly stage *k-1*'s output stream (the seed for *k = 0*), these
     counts alone determine every stage's observed expansion ratio.
 
-    ``budget`` — optional :class:`~repro.resilience.Budget` ticked once
-    per substitution popped off the stack.  This is the checkpoint that
-    catches a pure cross-product blowup: a weak linkage producing
-    millions of intermediate substitutions trips the budget mid-join
-    even if no new head tuple is ever derived.
+    ``ctx`` — the :class:`~repro.engine.context.EvalContext`; its
+    budget (if any) is ticked once per substitution popped off the
+    stack.  This is the checkpoint that catches a pure cross-product
+    blowup: a weak linkage producing millions of intermediate
+    substitutions trips the budget mid-join even if no new head tuple
+    is ever derived.
     """
 
     depth = len(ordered_body)
@@ -300,13 +302,14 @@ def evaluate_body(
     stack: List[Iterator[Substitution]] = [stage_solutions(0, seed)]
     if counters is not None and counters.peak_intermediate < 1:
         counters.peak_intermediate = 1
+    tick = ctx.tick
     while stack:
         solution = next(stack[-1], _EXHAUSTED)
         if solution is _EXHAUSTED:
             stack.pop()
             continue
-        if budget is not None:
-            budget.tick(counters)
+        if tick is not None:
+            tick(counters)
         if stage_counts is not None:
             # Every solution popped off stack[-1] is one output of
             # stage len(stack)-1 — a single branch covers all stages.

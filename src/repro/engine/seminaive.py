@@ -37,6 +37,7 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Term, is_ground
 from ..datalog.unify import Substitution, apply_substitution
 from .builtins import BuiltinRegistry, default_registry
+from .context import DISABLED, EvalContext
 from .counters import Counters
 from .database import Database
 from .joins import UnsafeRuleError, evaluate_body, order_body
@@ -130,9 +131,7 @@ class _BottomUpEvaluator:
         registry: Optional[BuiltinRegistry] = None,
         max_iterations: int = 100_000,
         orderer=None,
-        tracer=None,
-        profiler=None,
-        budget=None,
+        ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.registry = registry if registry is not None else default_registry()
@@ -141,19 +140,7 @@ class _BottomUpEvaluator:
         # [(index, literal)], e.g. analysis.joinorder.CostBasedOrderer.
         # Defaults to the greedy bound-is-easier order.
         self._orderer = orderer
-        # Optional observe.Tracer.  None (the default) is the fast
-        # path: the evaluation loop only ever pays `is not None`
-        # branches for it.
-        self.tracer = tracer
-        # Optional profile.SpanProfiler, same discipline: None costs
-        # only `is not None` branches; installed, it times every
-        # fixpoint round and rule-variant body evaluation.
-        self.profiler = profiler
-        # Optional resilience.Budget, same discipline again: checked
-        # per round, per derived tuple and per streamed substitution;
-        # the checks only *read* the counters, so a no-op budget is
-        # bit-identical to no budget.
-        self.budget = budget
+        self.ctx = ctx
 
     def _order(self, body):
         if self._orderer is not None:
@@ -204,12 +191,7 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         program = program if program is not None else self.database.program
         counters = Counters()
         derived: Dict[Predicate, Relation] = {}
-        profiler = self.profiler
-        run_span = (
-            profiler.begin("evaluate", "semi_naive")
-            if profiler is not None
-            else None
-        )
+        run_span = self.ctx.begin("evaluate", "semi_naive")
         try:
             for stratum in self._strata(program):
                 stopped = self._evaluate_stratum(
@@ -218,14 +200,13 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
                 if stopped:
                     break
         finally:
-            if profiler is not None:
-                # end() unwinds any round/rule span left open by an
-                # early stop or an evaluation error.
-                profiler.end(
-                    run_span,
-                    derived=counters.derived_tuples,
-                    iterations=counters.iterations,
-                )
+            # end() unwinds any round/rule span left open by an early
+            # stop or an evaluation error.
+            self.ctx.end(
+                run_span,
+                derived=counters.derived_tuples,
+                iterations=counters.iterations,
+            )
         return EvaluationResult(derived, counters)
 
     def _evaluate_stratum(
@@ -236,11 +217,10 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         counters: Counters,
         stop_condition=None,
     ) -> bool:
-        profiler = self.profiler
-        if profiler is not None:
-            # Rule ordering + EDB seeding is real per-stratum work;
-            # attribute it instead of leaving it as container self time.
-            setup_span = profiler.begin("stage", "stratum_setup")
+        ctx = self.ctx
+        # Rule ordering + EDB seeding is real per-stratum work;
+        # attribute it instead of leaving it as container self time.
+        setup_span = ctx.begin("stage", "stratum_setup")
         rules = [r for r in program if r.head.predicate in stratum]
         for predicate in stratum:
             derived.setdefault(predicate, Relation(predicate.name, predicate.arity))
@@ -291,10 +271,8 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         delta_lo: Dict[Predicate, int] = {p: 0 for p in stratum}
         delta_hi: Dict[Predicate, int] = {p: derived[p].mark() for p in stratum}
 
-        if profiler is not None:
-            profiler.end(setup_span, rules=len(rules))
-        tracer = self.tracer
-        budget = self.budget
+        ctx.end(setup_span, rules=len(rules))
+        recording = ctx.recording
         first_round = True
         round_no = 0
         while True:
@@ -303,16 +281,14 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
                 raise RuntimeError(
                     f"fixpoint did not converge within {self.max_iterations} iterations"
                 )
-            if budget is not None:
-                budget.check_round(counters.iterations, counters)
+            ctx.check_round(counters.iterations, counters)
             round_no += 1
-            if tracer is not None:
-                tracer.round_start(
+            if recording:
+                ctx.tracer.round_start(
                     round_no, sorted(str(p) for p in stratum)
                 )
-            if profiler is not None:
-                round_span = profiler.begin("round", f"round {round_no}")
-                round_derived_before = counters.derived_tuples
+            round_span = ctx.begin("round", f"round {round_no}")
+            round_derived_before = counters.derived_tuples
             for rule in rules:
                 slots = recursive_slots[id(rule)]
                 if not slots:
@@ -350,22 +326,21 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
                         return True
             first_round = False
             progressed = False
-            delta_sizes: Dict[str, int] = {} if tracer is not None else None
             for predicate in stratum:
                 mark = derived[predicate].mark()
                 if mark > delta_hi[predicate]:
                     progressed = True
-                if tracer is not None:
-                    delta_sizes[str(predicate)] = mark - delta_hi[predicate]
                 delta_lo[predicate] = delta_hi[predicate]
                 delta_hi[predicate] = mark
-            if tracer is not None:
-                tracer.round_end(round_no, delta_sizes)
-            if profiler is not None:
-                profiler.end(
-                    round_span,
-                    derived=counters.derived_tuples - round_derived_before,
+            if recording:
+                ctx.tracer.round_end(
+                    round_no,
+                    {str(p): delta_hi[p] - delta_lo[p] for p in stratum},
                 )
+            ctx.end(
+                round_span,
+                derived=counters.derived_tuples - round_derived_before,
+            )
             if not progressed:
                 return False
 
@@ -382,52 +357,47 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
     ) -> bool:
         """Run one rule variant, appending new heads; True = stop."""
         target = derived[rule.head.predicate]
-        tracer = self.tracer
-        profiler = self.profiler
-        budget = self.budget
-        if tracer is not None or profiler is not None:
+        ctx = self.ctx
+        recording = ctx.recording
+        if recording:
             # Per-tuple work stays branch-free with the tracer on: the
             # derived/duplicate deltas come from counter snapshots.
             before_derived = counters.derived_tuples
             before_duplicate = counters.duplicate_tuples
-        if tracer is not None:
-            stage_counts = [0] * len(ordered_body)
-        else:
-            stage_counts = None
-        if profiler is not None:
-            rule_span = profiler.begin("rule", str(rule))
+            rule_span = ctx.begin("rule", str(rule))
+        stage_counts = ctx.stage_counts(len(ordered_body))
         stopped = False
         for subst in evaluate_body(
             ordered_body, lookup, self.registry, {}, counters,
-            overrides=overrides, stage_counts=stage_counts, budget=budget,
+            overrides=overrides, stage_counts=stage_counts, ctx=ctx,
         ):
             row = self._head_row(rule, subst)
             if target.add(row):
                 counters.derived_tuples += 1
-                if budget is not None:
-                    budget.check_tuple(counters)
+                ctx.check_tuple(counters)
                 if stop_condition is not None and stop_condition(derived):
                     stopped = True
                     break
             else:
                 counters.duplicate_tuples += 1
-        if profiler is not None:
-            profiler.end(
+        if recording:
+            derived_here = counters.derived_tuples - before_derived
+            duplicates = counters.duplicate_tuples - before_duplicate
+            ctx.end(
                 rule_span,
                 predicate=str(rule.head.predicate),
                 slot=slot,
-                derived=counters.derived_tuples - before_derived,
-                duplicates=counters.duplicate_tuples - before_duplicate,
+                derived=derived_here,
+                duplicates=duplicates,
             )
-        if tracer is not None:
-            tracer.body_evaluated(
+            ctx.tracer.body_evaluated(
                 "rule",
                 ordered_body,
                 stage_counts,
                 rule=rule,
                 slot=slot,
-                derived=counters.derived_tuples - before_derived,
-                duplicates=counters.duplicate_tuples - before_duplicate,
+                derived=derived_here,
+                duplicates=duplicates,
             )
         return stopped
 
@@ -461,7 +431,7 @@ class NaiveEvaluator(_BottomUpEvaluator):
         ordered_bodies = {
             id(rule): self._order(rule.body) for rule in rules
         }
-        budget = self.budget
+        ctx = self.ctx
         changed = True
         while changed:
             counters.iterations += 1
@@ -469,19 +439,17 @@ class NaiveEvaluator(_BottomUpEvaluator):
                 raise RuntimeError(
                     f"fixpoint did not converge within {self.max_iterations} iterations"
                 )
-            if budget is not None:
-                budget.check_round(counters.iterations, counters)
+            ctx.check_round(counters.iterations, counters)
             changed = False
             for rule in rules:
                 for subst in evaluate_body(
                     ordered_bodies[id(rule)], lookup, self.registry, {},
-                    counters, budget=budget,
+                    counters, ctx=ctx,
                 ):
                     row = self._head_row(rule, subst)
                     if derived[rule.head.predicate].add(row):
                         counters.derived_tuples += 1
-                        if budget is not None:
-                            budget.check_tuple(counters)
+                        ctx.check_tuple(counters)
                         changed = True
                     else:
                         counters.duplicate_tuples += 1

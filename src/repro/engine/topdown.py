@@ -30,8 +30,9 @@ from ..datalog.parser import parse_query
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Term, Var, fresh_variable_factory, is_ground, term_variables
 from ..datalog.unify import Substitution, apply_substitution, unify_sequences
-from ..resilience.budget import Budget, BudgetExceeded
+from ..resilience.budget import BudgetExceeded
 from .builtins import BuiltinError, BuiltinRegistry, default_registry
+from .context import DISABLED, EvalContext
 from .counters import Counters
 from .database import Database
 from .joins import literal_solutions
@@ -73,10 +74,12 @@ class TopDownEvaluator:
         Resolution-step budget; exceeded → :class:`BudgetExceeded`.
     selection:
         ``"leftmost"`` or ``"deferred"`` (chain-split) goal selection.
-    budget:
-        Optional :class:`~repro.resilience.Budget` checked once per
-        resolution step.  SLD resolution has no fixpoint rounds, so
-        ``max_rounds`` bounds resolution steps here.
+    ctx:
+        The :class:`~repro.engine.context.EvalContext`.  Its budget is
+        checked once per resolution step — SLD resolution has no
+        fixpoint rounds, so ``max_rounds`` bounds resolution steps
+        here — and each :meth:`solve` runs inside an ``evaluate`` /
+        ``top_down`` span.
     """
 
     def __init__(
@@ -85,7 +88,7 @@ class TopDownEvaluator:
         registry: Optional[BuiltinRegistry] = None,
         max_steps: int = 5_000_000,
         selection: str = "deferred",
-        budget: Optional[Budget] = None,
+        ctx: EvalContext = DISABLED,
     ):
         if selection not in {"leftmost", "deferred"}:
             raise ValueError("selection must be 'leftmost' or 'deferred'")
@@ -93,7 +96,7 @@ class TopDownEvaluator:
         self.registry = registry if registry is not None else default_registry()
         self.max_steps = max_steps
         self.selection = selection
-        self.budget = budget
+        self.ctx = ctx
         self.counters = Counters()
         self._fresh = fresh_variable_factory("_R")
         self._steps = 0
@@ -106,8 +109,17 @@ class TopDownEvaluator:
     ) -> Iterator[Substitution]:
         """Enumerate solutions of a conjunctive goal list."""
         self._steps = 0
-        with _recursion_headroom():
-            yield from self._solve(list(goals), dict(subst or {}))
+        ctx = self.ctx
+        run_span = ctx.begin("evaluate", "top_down")
+        resolve_span = ctx.begin("stage", "sld_resolution")
+        try:
+            with _recursion_headroom():
+                yield from self._solve(list(goals), dict(subst or {}))
+        finally:
+            # Also reached when the consumer abandons the iterator
+            # after the first witness (existence probes).
+            ctx.end(resolve_span)
+            ctx.end(run_span, steps=self._steps)
 
     def query(self, source: str) -> List[Dict[str, Term]]:
         """Parse and run a query; return bindings of the query's own
@@ -152,7 +164,7 @@ class TopDownEvaluator:
                 observed=self._steps,
                 counters=self.counters.as_dict(),
             )
-        budget = self.budget
+        budget = self.ctx.budget
         if budget is not None:
             budget.tick(self.counters)
             if budget.max_rounds is not None and self._steps > budget.max_rounds:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..datalog.literals import Predicate
 from ..engine.builtins import BuiltinRegistry, default_registry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.database import Database, MutationBatch
 from ..engine.relation import Relation, Row
 from .depgraph import DependencyGraph
@@ -121,7 +122,7 @@ class ViewManager:
             if self.materializable(predicate):
                 self.ensure_pinned(predicate)
 
-    def rebuild(self, budget=None) -> int:
+    def rebuild(self, ctx: EvalContext = DISABLED) -> int:
         """Recompute every registered materialization from base state.
 
         The crash-recovery path: a database restored from a snapshot +
@@ -136,7 +137,7 @@ class ViewManager:
         rebuilt = 0
         for fix in self.fixpoints.values():
             fix.dirty = True
-            fix.refresh(budget=budget)
+            fix.refresh(ctx)
             rebuilt += 1
         return rebuilt
 
@@ -156,7 +157,7 @@ class ViewManager:
         return view
 
     def relations_for_query(
-        self, predicate: Predicate, budget=None
+        self, predicate: Predicate, ctx: EvalContext = DISABLED
     ) -> Optional[Dict[Predicate, Relation]]:
         """Materialized relations to answer a query on ``predicate``.
 
@@ -175,10 +176,10 @@ class ViewManager:
             fix = Materialization(
                 self.database, self.graph.info(predicate), self.registry
             )
-            fix.refresh(budget=budget)
+            fix.refresh(ctx)
             self.fixpoints[predicate] = fix
         elif fix.dirty:
-            fix.refresh(budget=budget)
+            fix.refresh(ctx)
             if self.metrics is not None:
                 self.metrics.record_ivm_recompute()
         return fix.relations
@@ -200,7 +201,9 @@ class ViewManager:
             return None
         return fix.relations
 
-    def ensure_pinned(self, predicate: Predicate, budget=None) -> Optional[str]:
+    def ensure_pinned(
+        self, predicate: Predicate, ctx: EvalContext = DISABLED
+    ) -> Optional[str]:
         """Materialize + pin ``predicate`` for a subscription.
 
         Returns an error string when the predicate cannot stream deltas
@@ -220,10 +223,10 @@ class ViewManager:
         fix = self.fixpoints.get(predicate)
         if fix is None:
             fix = Materialization(self.database, info, self.registry)
-            fix.refresh(budget=budget)
+            fix.refresh(ctx)
             self.fixpoints[predicate] = fix
         elif fix.dirty:
-            fix.refresh(budget=budget)
+            fix.refresh(ctx)
         fix.pinned = True
         return None
 

@@ -41,6 +41,7 @@ from ..datalog.literals import Literal, Predicate
 from ..datalog.rules import Program, Rule
 from ..datalog.unify import unify_sequences
 from ..engine.builtins import BuiltinRegistry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.database import Database, MutationBatch, RelationDelta
 from ..engine.joins import evaluate_body, order_body
 from ..engine.relation import OverlayRelation, Relation, Row
@@ -114,14 +115,24 @@ class Materialization:
     # ------------------------------------------------------------------
     # Full (re)computation
     # ------------------------------------------------------------------
-    def refresh(self, budget=None) -> Changes:
-        """Recompute from scratch; returns the diff against the old state."""
+    def refresh(self, ctx: EvalContext = DISABLED) -> Changes:
+        """Recompute from scratch; returns the diff against the old state.
+
+        The whole rebuild (evaluation + diff) is one ``stage`` /
+        ``ivm_refresh`` span of ``ctx``."""
+        span = ctx.begin("stage", "ivm_refresh")
+        try:
+            return self._refresh(ctx)
+        finally:
+            ctx.end(span, predicate=str(self.predicate))
+
+    def _refresh(self, ctx: EvalContext) -> Changes:
         old = self.relations
         if self.supported and not self.recursive:
-            relations, counts = self._counting_build(budget)
+            relations, counts = self._counting_build(ctx)
         else:
             result = SemiNaiveEvaluator(
-                self.database, self.registry, budget=budget
+                self.database, self.registry, ctx=ctx
             ).evaluate(self.subprogram)
             relations = {
                 p: result.relation(p.name, p.arity) for p in self.idb
@@ -257,7 +268,7 @@ class Materialization:
     # ------------------------------------------------------------------
     # Counting fast path (non-recursive closures)
     # ------------------------------------------------------------------
-    def _counting_build(self, budget=None):
+    def _counting_build(self, ctx: EvalContext):
         relations: Dict[Predicate, Relation] = {}
         counts: Dict[Predicate, Dict[Row, int]] = {}
 
@@ -280,7 +291,7 @@ class Materialization:
             for rule in self._rules_by_head.get(predicate, ()):
                 order = order_body(rule.body, self.registry)
                 for subst in evaluate_body(
-                    order, lookup, self.registry, {}, budget=budget
+                    order, lookup, self.registry, {}, ctx=ctx
                 ):
                     row = head_row(rule, subst)
                     tally[row] = tally.get(row, 0) + 1

@@ -1,11 +1,9 @@
 """The evaluation tracer: structured events from a running evaluation.
 
-Every evaluator accepts an optional ``tracer``.  With ``tracer=None``
-(the default everywhere) the engine takes its untraced fast path — the
-only residual cost is a handful of ``is not None`` branches, and the
-work counters are bit-identical to a run with a no-op tracer installed
-(``tests/observe/test_parity.py`` pins that down).  With a tracer
-installed, the evaluators emit structured :class:`TraceEvent` records:
+A tracer rides on the evaluation's
+:class:`~repro.engine.context.EvalContext` (which also states the
+disabled-path discipline); with one installed, the evaluators emit
+structured :class:`TraceEvent` records:
 
 ==================  ====================================================
 event kind          payload
@@ -110,9 +108,10 @@ def stage_profile(
 class Tracer:
     """The tracer protocol — every hook is a no-op.
 
-    Subclass and override what you need; evaluators call these hooks
-    only when a tracer is installed, so the base class doubles as the
-    "enabled but recording nothing" tracer for overhead tests.
+    Subclass and override what you need.  The disabled context holds
+    an instance of this base class, so evaluators call the hooks
+    without a guard; installed explicitly, it is the "enabled but
+    recording nothing" tracer for overhead tests.
     """
 
     def round_start(self, round_no: int, stratum: Sequence[str] = ()) -> None:

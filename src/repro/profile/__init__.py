@@ -3,8 +3,8 @@
 The timing counterpart of :mod:`repro.observe`: the tracer records
 *what* an evaluation did (deltas, probes, expansion ratios); the
 profiler records *where the time and memory went* (per-round,
-per-rule, per-phase spans).  Same plumbing discipline — every
-evaluator takes ``profiler=None`` and the disabled path is free.
+per-rule, per-phase spans).  Same plumbing — both ride on the
+evaluation's :class:`~repro.engine.context.EvalContext`.
 
 * :class:`SpanProfiler` / :class:`Span` — the recorder
   (:func:`time.perf_counter_ns` timing, opt-in :mod:`tracemalloc`

@@ -5,26 +5,24 @@ expansion ratios.  This module answers *where the time went*: a
 :class:`SpanProfiler` records **spans** — named, nested intervals
 timed with :func:`time.perf_counter_ns` — around every fixpoint round,
 per-rule body evaluation, chain-evaluation phase and planner phase.
-The discipline mirrors the tracer exactly:
-
-* every evaluator accepts ``profiler=None`` (the default); the disabled
-  path costs only ``is not None`` branches and the derived relations
-  and work counters are bit-identical with the profiler off, on, or
-  memory-sampling (``tests/profile/test_parity.py`` pins that down);
-* an enabled profiler records into a bounded in-memory buffer behind a
-  lock, with per-thread open-span stacks so server threads nest
-  independently.
+Evaluators reach it through ``ctx.begin`` / ``ctx.end`` on their
+:class:`~repro.engine.context.EvalContext` (which states the
+disabled-path discipline).  An enabled profiler records into a bounded
+in-memory buffer behind a lock, with per-thread open-span stacks so
+server threads nest independently.
 
 Span categories (the ``cat`` field):
 
 ==========  ==========================================================
 ``evaluate``  one evaluator run (``semi_naive``, ``buffered_chain``,
-              ``counting``, ``partial_chain``, ``magic_sets``)
+              ``counting``, ``partial_chain``, ``nested_chain``,
+              ``top_down``)
 ``round``     one semi-naive fixpoint round
 ``rule``      one rule-variant body evaluation (meta: slot, derived,
               duplicates)
-``stage``     one chain-evaluation phase: a down/descent level, the
-              exit phase, the up phase
+``stage``     one evaluation phase: a down/descent level, the exit
+              phase, the up phase, SLD resolution, an IVM view
+              (re)build (``ivm_refresh``)
 ``plan``      a planner phase (strategy selection, magic rewrite)
 ``query``     the service layer's whole-request span
 ==========  ==========================================================

@@ -8,12 +8,11 @@ a catchable :class:`BudgetExceeded` raised *from inside* the evaluation
 loop, carrying the partial work counters, so the worker thread unwinds
 cleanly and releases whatever locks it holds.
 
-The checkpoints follow the tracer/profiler's zero-cost discipline: the
-evaluators hold ``budget = None`` by default and every hot loop pays a
-single ``is not None`` branch.  Crucially the checks only *read* the
-engine's :class:`~repro.engine.counters.Counters` — a no-op budget
-(no limits set) is therefore bit-identical to no budget at all, which
-the parity tests pin.
+Evaluators reach the checkpoints through their
+:class:`~repro.engine.context.EvalContext` (which states the
+disabled-path discipline).  The checks only *read* the engine's
+:class:`~repro.engine.counters.Counters`, so a no-op budget (no limits
+set) is bit-identical to no budget at all.
 
 Checkpoint vocabulary (one per granularity of engine work):
 

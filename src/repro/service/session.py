@@ -55,6 +55,7 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Term, Var
 from ..datalog.unify import unify_sequences
 from ..engine.builtins import BuiltinRegistry
+from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..observe import (
@@ -331,7 +332,7 @@ class QuerySession:
             return None
 
     def _view_rows(
-        self, plan: QueryPlan, budget: Optional[Budget]
+        self, plan: QueryPlan, ctx: EvalContext
     ) -> Optional[List[Tuple[Term, ...]]]:
         """Answer a cache-miss query from a maintained view, or ``None``.
 
@@ -339,12 +340,10 @@ class QuerySession:
         refuses the rest); the filter applies the query's constants and
         residual constraints exactly like plan execution would.
         """
-        relations = self.views.relations_for_query(
-            plan.query.predicate, budget=budget
-        )
+        relations = self.views.relations_for_query(plan.query.predicate, ctx)
         if relations is None:
             return None
-        answers = self.planner._filter(plan.query, relations)
+        answers = self.planner._filter(plan.query, relations, ctx)
         answers = self.planner._apply_residual_constraints(
             plan, answers, Counters()
         )
@@ -390,19 +389,91 @@ class QuerySession:
             return plan, cached
 
     def _plan_locked(
-        self, query: Literal, constraints: List[Literal]
+        self,
+        query: Literal,
+        constraints: List[Literal],
+        ctx: EvalContext = DISABLED,
     ) -> Tuple[QueryPlan, bool]:
         key = plan_cache_key(query, constraints)
         cached = self._plan_cache.get(key)
         if cached is not None:
             return cached.rebind(query, constraints), True
-        plan = self.planner.plan([query, *constraints])
+        plan = self.planner.plan([query, *constraints], ctx)
         self._plan_cache[key] = plan
         return plan, False
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _context(
+        self, budget: Optional[Budget], tracer=None, profiler=None
+    ) -> EvalContext:
+        """The evaluation context of one request: the caller's budget
+        (default: a fork of the session's template, if any) plus the
+        instrumentation the verb asks for, tagged with the request id."""
+        if budget is None and self.budget is not None:
+            budget = self.budget.fork()
+        request_id = budget.request_id if budget is not None else None
+        return EvalContext(tracer, profiler, budget, request_id or current_id())
+
+    def _evaluate_locked(
+        self,
+        query: Literal,
+        constraints: List[Literal],
+        ctx: EvalContext,
+        start: float,
+        max_depth: Optional[int],
+        views: bool = False,
+    ) -> QueryResult:
+        """Plan and evaluate a cache-miss query under ``ctx``, insert
+        the answer into the result cache and record the request.
+
+        Lock held by the caller.  ``views`` lets an IVM session answer
+        from a maintained view; EXPLAIN / PROFILE always run the plan,
+        since a view read has no evaluation to report on.
+        """
+        saved_depth = self.planner.max_depth
+        if max_depth is not None:
+            self.planner.max_depth = max_depth
+        counters: Optional[Counters] = None
+        try:
+            plan, plan_cached = self._plan_locked(query, constraints, ctx)
+            rows = (
+                self._view_rows(plan, ctx)
+                if views and self.views is not None
+                else None
+            )
+            via_view = rows is not None
+            if rows is None:
+                answers, counters = self.planner.execute(plan, ctx)
+                rows = sorted(answers.rows(), key=str)
+        except BudgetExceeded:
+            # The request still happened: record its latency (the
+            # disconnect/timeout path depends on the histogram not
+            # losing aborted queries) and the blowout itself.
+            self.metrics.record_budget_exceeded()
+            self.metrics.record_verb("QUERY", time.perf_counter() - start)
+            raise
+        finally:
+            self.planner.max_depth = saved_depth
+        result_key = (str(query), tuple(str(c) for c in constraints))
+        self._result_cache[result_key] = (plan, rows)
+        while len(self._result_cache) > self.result_cache_size:
+            oldest = next(iter(self._result_cache))
+            del self._result_cache[oldest]
+        elapsed = time.perf_counter() - start
+        self.metrics.record_query(
+            plan.strategy,
+            elapsed,
+            plan_cached=plan_cached,
+            result_cached=False,
+            counters=counters,
+        )
+        self.metrics.record_verb("QUERY", elapsed)
+        return QueryResult(
+            plan, list(rows), elapsed, plan_cached, False, counters, via_view
+        )
+
     def execute(
         self,
         query_source,
@@ -444,103 +515,35 @@ class QuerySession:
             profiler = (
                 SpanProfiler() if self.slow_query_ms is not None else None
             )
-            if budget is None and self.budget is not None:
-                budget = self.budget.fork()
-            self.planner.profiler = profiler
-            self.planner.budget = budget
-            saved_depth = self.planner.max_depth
-            if max_depth is not None:
-                self.planner.max_depth = max_depth
-            via_view = False
-            counters: Optional[Counters] = None
-            try:
-                plan, plan_cached = self._plan_locked(query, constraints)
-                rows = (
-                    self._view_rows(plan, budget)
-                    if self.views is not None
-                    else None
-                )
-                if rows is None:
-                    answers, counters = self.planner.execute(plan)
-                    rows = sorted(answers.rows(), key=str)
-                else:
-                    via_view = True
-            except BudgetExceeded:
-                # The request still happened: record its latency (the
-                # disconnect/timeout path depends on the histogram not
-                # losing aborted queries) and the blowout itself.
-                self.metrics.record_budget_exceeded()
-                self.metrics.record_verb("QUERY", time.perf_counter() - start)
-                raise
-            finally:
-                self.planner.max_depth = saved_depth
-                self.planner.profiler = None
-                self.planner.budget = None
-            self._result_cache[result_key] = (plan, rows)
-            while len(self._result_cache) > self.result_cache_size:
-                oldest = next(iter(self._result_cache))
-                del self._result_cache[oldest]
-            elapsed = time.perf_counter() - start
-            self.metrics.record_query(
-                plan.strategy,
-                elapsed,
-                plan_cached=plan_cached,
-                result_cached=False,
-                counters=counters,
+            ctx = self._context(budget, profiler=profiler)
+            result = self._evaluate_locked(
+                query, constraints, ctx, start, max_depth, views=True
             )
-            self.metrics.record_verb("QUERY", elapsed)
-            if (
-                profiler is not None
-                and elapsed * 1e3 >= self.slow_query_ms
-            ):
-                self._retain_slow(
-                    query,
-                    plan,
-                    plan_cached,
-                    rows,
-                    elapsed,
-                    counters if counters is not None else Counters(),
-                    profiler,
-                    request_id=(
-                        getattr(budget, "request_id", None) or current_id()
-                    ),
-                )
-            return QueryResult(
-                plan,
-                list(rows),
-                elapsed,
-                plan_cached,
-                False,
-                counters,
-                via_view=via_view,
-            )
+            if profiler is not None and result.elapsed * 1e3 >= self.slow_query_ms:
+                self._retain_slow(query, result, ctx)
+            return result
 
     def _retain_slow(
-        self,
-        query: Literal,
-        plan: QueryPlan,
-        plan_cached: bool,
-        rows: List[Tuple[Term, ...]],
-        elapsed: float,
-        counters: Counters,
-        profiler: SpanProfiler,
-        request_id: Optional[str] = None,
+        self, query: Literal, result: QueryResult, ctx: EvalContext
     ) -> None:
         """Append one slowlog entry (lock held by the caller)."""
+        counters = (
+            result.counters if result.counters is not None else Counters()
+        )
         entry: Dict[str, object] = {
             "at": time.time(),
             "query": str(query),
-            "strategy": plan.strategy,
-            "elapsed_ms": elapsed * 1e3,
+            "strategy": result.strategy,
+            "elapsed_ms": result.elapsed * 1e3,
             "threshold_ms": self.slow_query_ms,
-            "answers": len(rows),
-            "plan_cached": plan_cached,
+            "answers": len(result.rows),
+            "plan_cached": result.plan_cached,
             "origin": self.slowlog_origin,
-            "request_id": request_id,
+            "request_id": ctx.request_id,
             "counters": counters.as_dict(),
-            "profile": profile_report(profiler, counters),
+            "profile": profile_report(ctx.profiler, counters),
             "chrome_trace": chrome_trace(
-                profiler, process_name=f"repro slow: {query}"
+                ctx.profiler, process_name=f"repro slow: {query}"
             ),
         }
         self._slowlog.append(entry)
@@ -554,12 +557,11 @@ class QuerySession:
     ) -> Dict[str, object]:
         """Answer a query with tracing on and return the EXPLAIN report.
 
-        A fresh :class:`~repro.observe.EngineTracer` is installed on
-        the shared planner for the duration of the evaluation (still
-        under the session lock, so concurrent queries never see it).
-        The result cache is bypassed — a cache hit would produce an
-        empty trace — but the answer still lands in it, and the plan
-        cache works as usual.  The report (see
+        The evaluation runs under a context carrying a fresh
+        :class:`~repro.observe.EngineTracer` and span profiler.  The
+        result cache is bypassed — a cache hit would produce an empty
+        trace — but the answer still lands in it, and the plan cache
+        works as usual.  The report (see
         :func:`~repro.observe.build_report`) is also retained as
         :attr:`last_trace` for the server's argument-less ``TRACE``.
         """
@@ -569,58 +571,24 @@ class QuerySession:
             query, constraints = self._parse(query_source)
             tracer = EngineTracer()
             profiler = SpanProfiler()
-            if budget is None and self.budget is not None:
-                budget = self.budget.fork()
-            self.planner.tracer = tracer
-            self.planner.profiler = profiler
-            self.planner.budget = budget
-            try:
-                plan, plan_cached = self._plan_locked(query, constraints)
-                saved_depth = self.planner.max_depth
-                if max_depth is not None:
-                    self.planner.max_depth = max_depth
-                try:
-                    answers, counters = self.planner.execute(plan)
-                finally:
-                    self.planner.max_depth = saved_depth
-            except BudgetExceeded:
-                self.metrics.record_budget_exceeded()
-                self.metrics.record_verb("QUERY", time.perf_counter() - start)
-                raise
-            finally:
-                self.planner.tracer = None
-                self.planner.profiler = None
-                self.planner.budget = None
-            rows = sorted(answers.rows(), key=str)
-            result_key = (str(query), tuple(str(c) for c in constraints))
-            self._result_cache[result_key] = (plan, rows)
-            while len(self._result_cache) > self.result_cache_size:
-                oldest = next(iter(self._result_cache))
-                del self._result_cache[oldest]
-            elapsed = time.perf_counter() - start
-            self.metrics.record_query(
-                plan.strategy,
-                elapsed,
-                plan_cached=plan_cached,
-                result_cached=False,
-                counters=counters,
-            )
-            self.metrics.record_verb("QUERY", elapsed)
+            ctx = self._context(budget, tracer, profiler)
+            result = self._evaluate_locked(query, constraints, ctx, start, max_depth)
             report = build_report(
                 tracer,
-                plan=plan,
+                plan=result.plan,
                 cost_model=self.planner.cost_model,
-                counters=counters,
-                profile=profile_report(profiler, counters),
+                counters=result.counters,
+                profile=profile_report(profiler, result.counters),
             )
             report["query"] = str(query)
             report["predicate"] = str(query.predicate)
-            report["answers"] = len(rows)
+            report["answers"] = len(result.rows)
             report["rows"] = [
-                "(" + ", ".join(str(v) for v in row) + ")" for row in rows
+                "(" + ", ".join(str(v) for v in row) + ")"
+                for row in result.rows
             ]
-            report["elapsed_ms"] = elapsed * 1e3
-            report["plan_cached"] = plan_cached
+            report["elapsed_ms"] = result.elapsed * 1e3
+            report["plan_cached"] = result.plan_cached
             self._last_trace = report
             return report
 
@@ -645,50 +613,18 @@ class QuerySession:
         with self._lock:
             self._sync()
             query, constraints = self._parse(query_source)
-            profiler = SpanProfiler(memory=memory)
-            if budget is None and self.budget is not None:
-                budget = self.budget.fork()
-            self.planner.profiler = profiler
-            self.planner.budget = budget
-            try:
-                plan, plan_cached = self._plan_locked(query, constraints)
-                saved_depth = self.planner.max_depth
-                if max_depth is not None:
-                    self.planner.max_depth = max_depth
-                try:
-                    answers, counters = self.planner.execute(plan)
-                finally:
-                    self.planner.max_depth = saved_depth
-            except BudgetExceeded:
-                self.metrics.record_budget_exceeded()
-                self.metrics.record_verb("QUERY", time.perf_counter() - start)
-                raise
-            finally:
-                self.planner.profiler = None
-                self.planner.budget = None
-                profiler.close()
-            rows = sorted(answers.rows(), key=str)
-            result_key = (str(query), tuple(str(c) for c in constraints))
-            self._result_cache[result_key] = (plan, rows)
-            while len(self._result_cache) > self.result_cache_size:
-                oldest = next(iter(self._result_cache))
-                del self._result_cache[oldest]
-            elapsed = time.perf_counter() - start
-            self.metrics.record_query(
-                plan.strategy,
-                elapsed,
-                plan_cached=plan_cached,
-                result_cached=False,
-                counters=counters,
-            )
-            self.metrics.record_verb("QUERY", elapsed)
-            report = profile_report(profiler, counters)
+            with SpanProfiler(memory=memory) as profiler:
+                ctx = self._context(budget, profiler=profiler)
+                result = self._evaluate_locked(
+                    query, constraints, ctx, start, max_depth
+                )
+            report = profile_report(profiler, result.counters)
             report["query"] = str(query)
             report["predicate"] = str(query.predicate)
-            report["strategy"] = plan.strategy
-            report["answers"] = len(rows)
-            report["elapsed_ms"] = elapsed * 1e3
-            report["plan_cached"] = plan_cached
+            report["strategy"] = result.strategy
+            report["answers"] = len(result.rows)
+            report["elapsed_ms"] = result.elapsed * 1e3
+            report["plan_cached"] = result.plan_cached
             if include_trace:
                 report["chrome_trace"] = chrome_trace(
                     profiler, process_name=f"repro: {query}"
@@ -739,7 +675,9 @@ class QuerySession:
             self._sync()
             query, constraints = self._parse(query_source)
             checker = ExistenceChecker(
-                self.database, self.planner.registry, budget=budget
+                self.database,
+                self.planner.registry,
+                ctx=EvalContext(budget=budget),
             )
             found, _counters = checker.exists_top_down(
                 [query, *constraints]

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.engine import EvalContext
 from repro.engine.database import Database
 from repro.engine.seminaive import SemiNaiveEvaluator
 from repro.profile import (
@@ -24,7 +25,9 @@ def _profiled_run():
     db = Database()
     db.load_source(SG_SOURCE)
     profiler = SpanProfiler()
-    result = SemiNaiveEvaluator(db, profiler=profiler).evaluate()
+    result = SemiNaiveEvaluator(
+        db, ctx=EvalContext(profiler=profiler)
+    ).evaluate()
     return profiler, result
 
 

@@ -14,6 +14,7 @@ import pytest
 from repro.core.magic import MagicSetsEvaluator
 from repro.core.planner import Planner
 from repro.datalog.parser import parse_query
+from repro.engine import EvalContext
 from repro.engine.database import Database
 from repro.engine.topdown import TopDownEvaluator
 from repro.resilience import Budget, BudgetExceeded
@@ -35,7 +36,7 @@ class TestScsgBlowup:
         db = family_database(BLOWUP)
         query = parse_query("scsg(p0_0, Y)")[0]
         evaluator = MagicSetsEvaluator(
-            db, budget=Budget(max_tuples=TUPLE_CEILING)
+            db, ctx=EvalContext(budget=Budget(max_tuples=TUPLE_CEILING))
         )
         with pytest.raises(BudgetExceeded) as info:
             evaluator.evaluate(query)
@@ -54,7 +55,7 @@ class TestScsgBlowup:
             db,
             chain_split=True,
             supplementary=True,
-            budget=Budget(max_tuples=TUPLE_CEILING),
+            ctx=EvalContext(budget=Budget(max_tuples=TUPLE_CEILING)),
         )
         answers, counters, _ = evaluator.evaluate(query)
         assert counters.derived_tuples <= TUPLE_CEILING
@@ -66,7 +67,7 @@ class TestScsgBlowup:
             db = family_database(BLOWUP)
             query = parse_query("scsg(p0_0, Y)")[0]
             evaluator = MagicSetsEvaluator(
-                db, budget=Budget(max_tuples=TUPLE_CEILING)
+                db, ctx=EvalContext(budget=Budget(max_tuples=TUPLE_CEILING))
             )
             with pytest.raises(BudgetExceeded) as info:
                 evaluator.evaluate(query)
@@ -81,7 +82,9 @@ class TestUnsafeAppend:
         db = Database()
         db.load_source(APPEND)
         goals = parse_query("append(X, Y, Z)")
-        evaluator = TopDownEvaluator(db, budget=Budget(max_rounds=2_000))
+        evaluator = TopDownEvaluator(
+            db, ctx=EvalContext(budget=Budget(max_rounds=2_000))
+        )
         with pytest.raises(BudgetExceeded) as info:
             list(evaluator.solve(goals))
         assert info.value.reason == "rounds"
@@ -94,20 +97,18 @@ class TestUnsafeAppend:
         db = Database()
         db.load_source(APPEND)
         planner = Planner(db)
-        planner.budget = Budget(max_rounds=2_000)
-        plan = planner.plan("append(X, Y, [a, b, c])")
+        ctx = EvalContext(budget=Budget(max_rounds=2_000))
+        plan = planner.plan("append(X, Y, [a, b, c])", ctx)
         assert plan.strategy == "partial_chain_split"
-        answers, _counters = planner.execute(plan)
+        answers, _counters = planner.execute(plan, ctx)
         assert len(answers) == 4
 
     def test_planner_cleanup_after_trip(self):
         # A blowout must not poison the planner for later queries.
         db = family_database(BLOWUP)
         planner = Planner(db)
-        planner.budget = Budget(max_tuples=1)
         plan = planner.plan("scsg(X, Y)")
         with pytest.raises(BudgetExceeded):
-            planner.execute(plan)
-        planner.budget = None
+            planner.execute(plan, EvalContext(budget=Budget(max_tuples=1)))
         answers, _ = planner.execute(planner.plan("scsg(X, Y)"))
         assert len(answers) > 0
