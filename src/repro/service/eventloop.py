@@ -20,11 +20,18 @@ evaluate every fixpoint under the GIL, so the machinery is:
   STATS or a saturated admission queue never stalls socket I/O.
   Requests on one connection stay strictly ordered (one in flight,
   FIFO queue behind it); requests across connections run concurrently.
+* **Cache hits never leave the loop.**  The session owns the one
+  answer cache.  A ``QUERY`` with nothing of its connection queued or
+  in flight is answered on the loop thread when the session lock is
+  free *and* the entry is in hand (the loop never waits, evaluates or
+  calls the pool), at most ``_INLINE_PER_PASS`` per readable event, all
+  replies of the pass in one ``send``.  The rest take the dispatch FIFO.
 * **Heavy verbs go to forked evaluator processes** — a
   :class:`~repro.service.workers.WorkerPool` — when ``workers > 0``
   and the platform can fork.  QUERY/PLAN/EXPLAIN/TRACE then evaluate
   on separate cores over copy-on-write database snapshots, refreshed
-  whenever the per-relation version counters drift.  Budget blowouts,
+  whenever the database version drifts; their QUERY answers are adopted
+  into the session's cache on the way back.  Budget blowouts,
   timeouts and cancellation-on-disconnect cross the pipe and surface
   exactly as in-process; the conformance suite pins the envelopes
   bit-identical.  With ``workers=0`` heavy verbs run in-process on the
@@ -65,6 +72,7 @@ from .protocol import (
     OVERSIZED_WIRE,
     ClientDisconnected,
     ProtocolCore,
+    _strip,
     _Subscription,
 )
 from .session import QuerySession
@@ -90,6 +98,13 @@ _READ_CHUNK = 65536
 
 #: Upper bound on one selector cycle, so the idle sweep always runs.
 _TICK = 0.2
+
+#: Cache hits answered on the loop thread per readable event, so one
+#: pipelining connection cannot monopolise the loop.
+_INLINE_PER_PASS = 64
+
+#: Most bytes gathered from an outbox into one ``send``.
+_SEND_BATCH = 262144
 
 
 def _cancel_for_peer(budget: Budget, reason: str) -> None:
@@ -243,6 +258,8 @@ class AsyncQueryServer(ProtocolCore):
         self._to_close: set = set()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        #: The loop thread's ident: bytes queued from it need no wake.
+        self._loop_ident: Optional[int] = None
         #: Duration of the most recent between-selects processing pass
         #: — the event-loop lag gauge.  Written by the loop thread only;
         #: read lock-free by the metrics provider.
@@ -305,6 +322,7 @@ class AsyncQueryServer(ProtocolCore):
     # Event loop (everything here runs on the loop thread)
     # ------------------------------------------------------------------
     def _loop(self) -> None:
+        self._loop_ident = threading.get_ident()
         last_sweep = time.monotonic()
         while not self._stop.is_set():
             events = self._selector.select(timeout=_TICK)
@@ -365,6 +383,9 @@ class AsyncQueryServer(ProtocolCore):
             except OSError:
                 return
             sock.setblocking(False)
+            # Small replies must not sit in Nagle's buffer waiting for
+            # the client's delayed ACK (a 40 ms stall per burst).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Connection(sock, addr)
             self._conns.add(conn)
             self._selector.register(sock, selectors.EVENT_READ, conn)
@@ -453,6 +474,7 @@ class AsyncQueryServer(ProtocolCore):
         if not conn.inbox:
             conn.frame_started = time.perf_counter_ns()
         conn.inbox += chunk
+        inline = 0
         while True:
             idx = conn.inbox.find(b"\n")
             if idx == -1:
@@ -473,11 +495,46 @@ class AsyncQueryServer(ProtocolCore):
                     else _OVERSIZED,
                 )
             else:
-                self._enqueue(conn, line, self._mint_record(conn))
+                record = self._mint_record(conn)
+                if inline < _INLINE_PER_PASS and self._answer_inline(
+                    conn, line, record
+                ):
+                    inline += 1
+                else:
+                    self._enqueue(conn, line, record)
+        if inline:
+            self._flush(conn)  # every inline reply of the pass, one send
         if conn.inbox and conn.frame_started is None:
             # Leftover bytes start the next frame; its read stage
             # begins now, not when its newline eventually arrives.
             conn.frame_started = time.perf_counter_ns()
+
+    def _answer_inline(
+        self, conn: _Connection, raw: bytes, record: Optional[RequestRecord]
+    ) -> bool:
+        """Answer a cached QUERY here, on the loop thread, or decline.
+
+        Declines unless nothing of this connection is queued or in
+        flight (FIFO order), the session lock is free right now and the
+        answer is cached at the current version.  Then the ordinary
+        :meth:`_process` runs under the (re-entrant) lock: admission,
+        breaker, metrics, lifecycle marks and the capture tap behave
+        exactly as on a dispatch thread.
+        """
+        if raw[:6].upper() != b"QUERY " or conn.inflight or conn.requests:
+            return False
+        lock = self.session._lock
+        if not lock.acquire(blocking=False):
+            return False
+        try:
+            # The source text exactly as _do_query will derive it.
+            source = _strip(raw[6:].decode("utf-8", errors="replace").strip())
+            if not self.session.hit_ready(source):
+                return False
+            self._process(conn, raw, record)
+            return True
+        finally:
+            lock.release()
 
     def _mint_record(self, conn: _Connection) -> Optional[RequestRecord]:
         """Mint a lifecycle record for one completed frame.
@@ -534,38 +591,46 @@ class AsyncQueryServer(ProtocolCore):
             self._update_interest(conn)  # drop read interest
 
     def _flush(self, conn: _Connection) -> None:
+        """Write the outbox, up to ``_SEND_BATCH`` queued bytes a ``send``."""
         while True:
+            parts, size = [], 0
             with conn.lock:
-                if not conn.outbox:
-                    break
-                head, record = conn.outbox[0]
+                for data, _record in conn.outbox:
+                    parts.append(data)
+                    size += len(data)
+                    if size >= _SEND_BATCH:
+                        break
+            if not parts:
+                break
             try:
-                sent = conn.sock.send(head)
+                sent = left = conn.sock.send(b"".join(parts))
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
                 self._on_peer_lost(conn)
                 return
-            flushed = None
+            flushed = []
             with conn.lock:
                 conn.outbox_bytes -= sent
-                if sent == len(head):
-                    conn.outbox.popleft()
-                    flushed = record
-                else:
-                    conn.outbox[0] = (head[sent:], record)
-            if flushed is not None:
+                while left:
+                    head, record = conn.outbox[0]
+                    if left < len(head):
+                        conn.outbox[0] = (head[left:], record)
+                        break
+                    left -= len(head)
+                    flushed.append(conn.outbox.popleft()[1])
+            for record in filter(None, flushed):
                 # The reply's last byte hit the kernel buffer: the
                 # request's lifecycle is complete.
-                flushed.mark("flush")
-                self._finalize_record(flushed, "ok")
-            if sent != len(head):
+                record.mark("flush")
+                self._finalize_record(record, "ok")
+            if sent != size:
                 break
         with conn.lock:
             done = not conn.outbox
         if done and conn.close_after_flush:
             self._close_conn(conn)
-        elif done:
+        else:  # drained: drop write interest; kernel buffer full: ask
             self._update_interest(conn)
 
     def _sweep_idle(self, now: float) -> None:
@@ -633,7 +698,8 @@ class AsyncQueryServer(ProtocolCore):
         Returns ``True`` when queued, ``False`` when the connection is
         already closed, and ``None`` when ``push=True`` and queueing
         would overflow ``push_backlog`` (the stalled-subscriber
-        signal).  Never blocks.  ``record`` rides the outbox with the
+        signal).  Never blocks, and does not wake the loop: the caller
+        calls :meth:`_kick`.  ``record`` rides the outbox with the
         bytes: the flush path finalizes it when the last byte leaves.
         """
         with conn.lock:
@@ -648,10 +714,15 @@ class AsyncQueryServer(ProtocolCore):
             conn.outbox_bytes += len(data)
             if close_after:
                 conn.close_after_flush = True
-        with self._control_lock:
-            self._dirty.add(conn)
-        self._wake()
         return True
+
+    def _kick(self, conn: _Connection) -> None:
+        """Have the loop flush ``conn`` — unless this *is* the loop,
+        whose own pass flushes what it queued."""
+        if threading.get_ident() != self._loop_ident:
+            with self._control_lock:
+                self._dirty.add(conn)
+            self._wake()
 
     def _request_close(self, conn: _Connection) -> None:
         with self._control_lock:
@@ -724,7 +795,11 @@ class AsyncQueryServer(ProtocolCore):
             self._finalize_record(record, "error")
             self._request_close(conn)
         finally:
+            # Free the FIFO slot *before* the loop can send the reply:
+            # a client that answers at once must find nothing in flight,
+            # or its next cache hit takes the dispatch path again.
             self._request_done(conn)
+            self._kick(conn)
 
     # ------------------------------------------------------------------
     # Budgeted evaluation
@@ -861,17 +936,15 @@ class AsyncQueryServer(ProtocolCore):
             seen = payload["report"]
             self.session.remember_trace(seen)
             elapsed = float(seen.get("elapsed_ms") or 0.0) / 1e3
-            result_cached = False
         else:
             seen = payload
             elapsed = payload["elapsed"]
-            result_cached = payload["result_cached"]
         counters = seen.get("counters")
         metrics.record_query(
             seen.get("strategy", "unknown"),
             elapsed,
             plan_cached=bool(seen.get("plan_cached")),
-            result_cached=result_cached,
+            result_cached=False,  # workers are cold: they see misses only
             counters=Counters(**counters) if counters else None,
         )
         metrics.record_verb("QUERY", elapsed)
@@ -879,11 +952,17 @@ class AsyncQueryServer(ProtocolCore):
     def _evaluate(
         self, verb: str, source: str, conn: Optional[_Connection]
     ) -> Dict[str, Any]:
+        if verb == "QUERY":  # hits are the parent's, in both modes
+            payload = self.session.cached_answer(source)
+            if payload is not None:
+                return payload
         # Span profiling carries process-local span objects; it always
         # runs in-process (still off-loop, on a dispatch thread).
         if self.pool is not None and verb != "PROFILE":
             payload = self._pool_execute(verb, source, conn)
             self._record_pooled(verb, payload)
+            if verb == "QUERY":
+                self.session.adopt(source, payload)
             return payload
         budget = self._local_budget(conn)
         try:
@@ -906,8 +985,8 @@ class AsyncQueryServer(ProtocolCore):
         """Queue ``wire`` on the subscriber's outbox, within the
         backlog; a stalled subscriber is detected by backlog growth."""
         conn = sub.connection
-        if (
-            self._send_bytes(conn, wire, push=True) is None
-            and self._drop_subscriber(sub)
-        ):
+        queued = self._send_bytes(conn, wire, push=True)
+        if queued:
+            self._kick(conn)
+        elif queued is None and self._drop_subscriber(sub):
             self._request_close(conn)

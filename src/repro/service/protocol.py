@@ -123,8 +123,8 @@ from ..observe import (
     set_verb,
 )
 from ..resilience import AdmissionController, Budget, BudgetExceeded, CircuitBreaker
-from .session import QuerySession
-from .workers import RemoteEvaluationError, _render_rows
+from .session import QuerySession, _render_rows
+from .workers import RemoteEvaluationError
 
 _log = get_logger("protocol")
 
@@ -591,14 +591,14 @@ class ProtocolCore:
         ``CircuitOpen`` envelope with ``retry_after``."""
         cached = self.session.peek_cached(source)
         if cached is not None:
-            plan, rows = cached
+            strategy, answers = cached
             return {
                 "ok": True,
                 "verb": "QUERY",
                 "query": source,
-                "strategy": plan.strategy,
-                "answers": _render_rows(rows),
-                "count": len(rows),
+                "strategy": strategy,
+                "answers": answers,
+                "count": len(answers),
                 "plan_cached": True,
                 "result_cached": True,
                 "degraded": "cached",

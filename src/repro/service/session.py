@@ -11,8 +11,10 @@ that across a query stream the way a serving system must:
   share one compiled plan; a hit skips parsing-to-strategy planning
   entirely and only swaps the concrete literal in.
 * **result cache** — a bounded LRU from the exact query text shape
-  (constants included) to the answer rows, so a repeated query skips
-  evaluation too.
+  (constants included) to the answer, rows already rendered, so a
+  repeated query skips evaluation too.  A serving process has no other
+  answer cache: forked workers run with it off and the server adopts
+  their answers here (:meth:`QuerySession.adopt`).
 
 Invalidation follows the database's split version counter
 (:attr:`~repro.engine.database.Database.version`): any mutation flushes
@@ -45,8 +47,8 @@ import platform
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.cost import CostModel
 from ..core.planner import Planner, QueryPlan, plan_cache_key
@@ -76,6 +78,39 @@ from .metrics import ServiceMetrics
 __all__ = ["QueryResult", "QuerySession"]
 
 
+def _render_rows(rows) -> List[List[str]]:
+    return [[str(value) for value in row] for row in rows]
+
+
+def _query_payload(
+    strategy, answers, plan_cached, result_cached, elapsed, counters=None
+) -> Dict[str, Any]:
+    """The JSON-safe payload of one answered QUERY, evaluated or cached."""
+    return {
+        "strategy": strategy,
+        "answers": answers,
+        "count": len(answers),
+        "plan_cached": plan_cached,
+        "result_cached": result_cached,
+        "elapsed": elapsed,
+        "counters": counters,
+    }
+
+
+class _Entry(NamedTuple):
+    """One cached answer: what a hit replies with (rows as the wire
+    renders them) and the closure root ``_sync`` invalidates by.  IVM
+    repair and :meth:`QuerySession.execute` also need ``plan`` and the
+    engine ``rows``; an entry adopted from a worker has neither and is
+    only ever kept or evicted."""
+
+    strategy: str
+    answers: List[List[str]]
+    predicate: object
+    plan: Optional[QueryPlan] = None
+    rows: Optional[List[Tuple[Term, ...]]] = None
+
+
 @dataclass
 class QueryResult:
     """One answered query: rows plus how the answer was produced."""
@@ -89,6 +124,8 @@ class QueryResult:
     #: Answered by filtering a maintained materialized view instead of
     #: running the plan's evaluator (``ivm=True`` sessions only).
     via_view: bool = False
+    #: ``rows`` as the wire renders them (rendered once, for the cache).
+    answers: List[List[str]] = field(default_factory=list)
 
     @property
     def strategy(self) -> str:
@@ -175,12 +212,13 @@ class QuerySession:
         self._started_monotonic = time.monotonic()
         self._lock = threading.RLock()
         self._plan_cache: Dict[object, QueryPlan] = {}
-        # LRU: key -> (plan, rows); dict preserves insertion order and
+        # LRU: key -> _Entry; dict preserves insertion order and
         # move-to-end is pop+reinsert.
-        self._result_cache: Dict[object, Tuple[QueryPlan, List[Tuple[Term, ...]]]] = {}
-        # Source text parses identically forever, so this memo needs no
-        # version invalidation — just a size cap against unbounded text.
-        self._parse_cache: Dict[str, Tuple[Literal, List[Literal]]] = {}
+        self._result_cache: Dict[object, _Entry] = {}
+        # Source text parses (and keys the result cache) identically
+        # forever, so this memo needs no version invalidation — just a
+        # size cap against unbounded text.
+        self._parse_cache: Dict[str, Tuple[Literal, List[Literal], object]] = {}
         self._seen_version = database.version
         #: Report of the most recent explain() call (TRACE verb).
         self._last_trace: Optional[Dict[str, object]] = None
@@ -243,19 +281,26 @@ class QuerySession:
         }
         pending = self.views.drain_pending()
         kept = repaired = evicted = 0
-        for key, (plan, rows) in list(self._result_cache.items()):
-            predicate = plan.query.predicate
+        for key, entry in list(self._result_cache.items()):
+            predicate, plan = entry.predicate, entry.plan
             if self.views.closure(predicate).isdisjoint(mutated):
                 kept += 1
                 continue
-            repaired_rows = self._patch_rows(plan, rows, pending.get(predicate))
-            if repaired_rows is None:
-                repaired_rows = self._repair_rows(plan)
+            repaired_rows = None
+            if plan is not None:
+                repaired_rows = self._patch_rows(
+                    plan, entry.rows, pending.get(predicate)
+                )
+                if repaired_rows is None:
+                    repaired_rows = self._repair_rows(plan)
             if repaired_rows is None:
                 del self._result_cache[key]
                 evicted += 1
             else:
-                self._result_cache[key] = (plan, repaired_rows)
+                if repaired_rows is not entry.rows:
+                    self._result_cache[key] = entry._replace(
+                        answers=_render_rows(repaired_rows), rows=repaired_rows
+                    )
                 self.views.register_shape(plan).repairs += 1
                 repaired += 1
         self._seen_version = version
@@ -366,16 +411,46 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _parse(self, query_source) -> Tuple[Literal, List[Literal]]:
-        if not isinstance(query_source, str):
-            return self.planner._parse(query_source)
-        hit = self._parse_cache.get(query_source)
+    def _keyed(self, query_source) -> Tuple[Literal, List[Literal], object]:
+        """A query parsed, with its result-cache key (memoized by text)."""
+        memoize = isinstance(query_source, str)
+        hit = self._parse_cache.get(query_source) if memoize else None
         if hit is None:
-            hit = self.planner._parse(query_source)
-            if len(self._parse_cache) >= 4096:
-                self._parse_cache.clear()
-            self._parse_cache[query_source] = hit
+            query, constraints = self.planner._parse(query_source)
+            key = (str(query), tuple(str(c) for c in constraints))
+            hit = (query, constraints, key)
+            if memoize:
+                if len(self._parse_cache) >= 4096:
+                    self._parse_cache.clear()
+                self._parse_cache[query_source] = hit
         return hit
+
+    def _parse(self, query_source) -> Tuple[Literal, List[Literal]]:
+        return self._keyed(query_source)[:2]
+
+    def _lookup(self, query_source):
+        """Reconcile the caches, then ``(query, constraints, key, cached
+        entry or None)``.  Lock held by the caller."""
+        self._sync()
+        query, constraints, key = self._keyed(query_source)
+        return query, constraints, key, self._result_cache.get(key)
+
+    def _store(self, key, entry: _Entry) -> None:
+        """Insert at the most-recent end; trim to size.  Lock held."""
+        self._result_cache.pop(key, None)
+        self._result_cache[key] = entry
+        while len(self._result_cache) > self.result_cache_size:
+            del self._result_cache[next(iter(self._result_cache))]
+
+    def _record_hit(self, key, entry: _Entry, start: float) -> float:
+        """LRU-touch and account one served hit; returns its latency."""
+        self._store(key, entry)
+        elapsed = time.perf_counter() - start
+        self.metrics.record_query(
+            entry.strategy, elapsed, plan_cached=True, result_cached=True
+        )
+        self.metrics.record_verb("QUERY", elapsed)
+        return elapsed
 
     def plan(self, query_source) -> Tuple[QueryPlan, bool]:
         """The plan for a query and whether it came from the cache."""
@@ -420,6 +495,7 @@ class QuerySession:
         self,
         query: Literal,
         constraints: List[Literal],
+        key: object,
         ctx: EvalContext,
         start: float,
         max_depth: Optional[int],
@@ -456,11 +532,10 @@ class QuerySession:
             raise
         finally:
             self.planner.max_depth = saved_depth
-        result_key = (str(query), tuple(str(c) for c in constraints))
-        self._result_cache[result_key] = (plan, rows)
-        while len(self._result_cache) > self.result_cache_size:
-            oldest = next(iter(self._result_cache))
-            del self._result_cache[oldest]
+        answers = _render_rows(rows)
+        self._store(
+            key, _Entry(plan.strategy, answers, query.predicate, plan, rows)
+        )
         elapsed = time.perf_counter() - start
         self.metrics.record_query(
             plan.strategy,
@@ -471,7 +546,8 @@ class QuerySession:
         )
         self.metrics.record_verb("QUERY", elapsed)
         return QueryResult(
-            plan, list(rows), elapsed, plan_cached, False, counters, via_view
+            plan, list(rows), elapsed, plan_cached, False, counters, via_view,
+            answers,
         )
 
     def execute(
@@ -492,21 +568,15 @@ class QuerySession:
         """
         start = time.perf_counter()
         with self._lock:
-            self._sync()
-            query, constraints = self._parse(query_source)
-            result_key = (str(query), tuple(str(c) for c in constraints))
-            hit = self._result_cache.get(result_key)
-            if hit is not None:
-                # LRU touch: reinsert at the most-recent end.
-                del self._result_cache[result_key]
-                self._result_cache[result_key] = hit
-                plan, rows = hit
-                elapsed = time.perf_counter() - start
-                self.metrics.record_query(
-                    plan.strategy, elapsed, plan_cached=True, result_cached=True
+            query, constraints, key, hit = self._lookup(query_source)
+            # An adopted entry has no plan or engine rows to hand a
+            # library caller: evaluate, and replace it with a full one.
+            if hit is not None and hit.plan is not None:
+                elapsed = self._record_hit(key, hit, start)
+                return QueryResult(
+                    hit.plan, list(hit.rows), elapsed, True, True,
+                    answers=hit.answers,
                 )
-                self.metrics.record_verb("QUERY", elapsed)
-                return QueryResult(plan, list(rows), elapsed, True, True)
 
             # Slow-query forensics: profile every evaluated query so an
             # offender's span breakdown is already in hand when the
@@ -517,7 +587,7 @@ class QuerySession:
             )
             ctx = self._context(budget, profiler=profiler)
             result = self._evaluate_locked(
-                query, constraints, ctx, start, max_depth, views=True
+                query, constraints, key, ctx, start, max_depth, views=True
             )
             if profiler is not None and result.elapsed * 1e3 >= self.slow_query_ms:
                 self._retain_slow(query, result, ctx)
@@ -567,12 +637,13 @@ class QuerySession:
         """
         start = time.perf_counter()
         with self._lock:
-            self._sync()
-            query, constraints = self._parse(query_source)
+            query, constraints, key, _hit = self._lookup(query_source)
             tracer = EngineTracer()
             profiler = SpanProfiler()
             ctx = self._context(budget, tracer, profiler)
-            result = self._evaluate_locked(query, constraints, ctx, start, max_depth)
+            result = self._evaluate_locked(
+                query, constraints, key, ctx, start, max_depth
+            )
             report = build_report(
                 tracer,
                 plan=result.plan,
@@ -611,12 +682,11 @@ class QuerySession:
         """
         start = time.perf_counter()
         with self._lock:
-            self._sync()
-            query, constraints = self._parse(query_source)
+            query, constraints, key, _hit = self._lookup(query_source)
             with SpanProfiler(memory=memory) as profiler:
                 ctx = self._context(budget, profiler=profiler)
                 result = self._evaluate_locked(
-                    query, constraints, ctx, start, max_depth
+                    query, constraints, key, ctx, start, max_depth
                 )
             report = profile_report(profiler, result.counters)
             report["query"] = str(query)
@@ -645,21 +715,48 @@ class QuerySession:
             query, constraints = self._parse(query_source)
             return plan_cache_key(query, constraints)
 
-    def peek_cached(
-        self, query_source
-    ) -> Optional[Tuple[QueryPlan, List[Tuple[Term, ...]]]]:
-        """The cached (plan, rows) for a query, or None — never
-        evaluates.  Used to serve stale-but-real answers while the
-        circuit breaker is open."""
+    def peek_cached(self, query_source) -> Optional[Tuple[str, List[List[str]]]]:
+        """The cached (strategy, rendered rows) for a query, or None —
+        never evaluates.  Used to serve stale-but-real answers while
+        the circuit breaker is open."""
         with self._lock:
-            self._sync()
-            query, constraints = self._parse(query_source)
-            result_key = (str(query), tuple(str(c) for c in constraints))
-            hit = self._result_cache.get(result_key)
+            hit = self._lookup(query_source)[3]
+            return None if hit is None else (hit.strategy, hit.answers)
+
+    def cached_answer(self, query_source) -> Optional[Dict[str, Any]]:
+        """The server's hit path: the QUERY payload of a cached answer
+        (recorded and LRU-touched as a hit), or None — never evaluates."""
+        start = time.perf_counter()
+        with self._lock:
+            *_, key, hit = self._lookup(query_source)
             if hit is None:
                 return None
-            plan, rows = hit
-            return plan, list(rows)
+            return _query_payload(
+                hit.strategy, hit.answers, True, True,
+                self._record_hit(key, hit, start),
+            )
+
+    def hit_ready(self, query_source: str) -> bool:
+        """Would :meth:`cached_answer` hit without parsing or
+        reconciling?  The event loop's probe; lock held by the caller."""
+        memo = self._parse_cache.get(query_source)
+        return (
+            memo is not None
+            and self.database.version == self._seen_version
+            and memo[2] in self._result_cache
+        )
+
+    def adopt(self, query_source, payload: Dict[str, Any]) -> None:
+        """Cache a worker-evaluated QUERY payload, unless the database
+        has moved past the snapshot it was evaluated at: that answer
+        goes to its client and nowhere else."""
+        with self._lock:
+            if payload.get("version") != self.database.version:
+                return
+            query, _constraints, key, _hit = self._lookup(query_source)
+            self._store(
+                key, _Entry(payload["strategy"], payload["answers"], query.predicate)
+            )
 
     def exists(self, query_source, budget: Optional[Budget] = None) -> bool:
         """Existence-only probe: does the query have *any* answer?

@@ -11,9 +11,9 @@ serialization of the fact base.
 Design points, in the order they matter:
 
 **Snapshot freshness.**  A forked worker sees the database as of its
-fork.  The pool remembers the per-relation version counters (plus the
-IDB version) it forked at; before every dispatch it compares them to
-the live database and, on drift, forks a *new generation* of workers.
+fork.  The pool remembers the database version it forked at; before
+every dispatch it compares it to the live database and, on drift,
+forks a *new generation* of workers.
 Old workers that are mid-request finish their request on the old
 snapshot — exactly the answer a request admitted before the mutation
 would have produced in-process under the session lock — and are
@@ -40,11 +40,11 @@ exactly like an in-process :meth:`Budget.cancel`.  A worker that keeps
 ignoring the flag past ``kill_grace`` seconds is killed and respawned
 (``repro_worker_restarts_total``).
 
-**Affinity.**  Workers keep their own plan/result caches, which only
-pay off if a repeated query lands on the same worker.  Dispatch hashes
-the query text and prefers that worker when it is free, falling back
-to any free worker — deterministic cache reuse without queueing behind
-a busy worker.
+**Cold evaluators.**  The serving process owns the one answer cache
+(:meth:`QuerySession.adopt`); a worker keeps only its parse memo and
+plan cache, sees misses only, and stamps each ``ok`` payload with the
+``version`` of its snapshot so the parent never caches a stale answer.
+Any free worker serves any request.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..engine.database import Database
 from ..observe import current_id, get_logger, log_event, mark_stage
 from ..resilience import Budget, BudgetExceeded
-from .session import QuerySession
+from .session import QuerySession, _query_payload
 
 _log = get_logger("workers")
 
@@ -140,10 +140,6 @@ class _RemoteBudget(Budget):
         super()._check_clocked(counters)
 
 
-def _render_rows(rows) -> List[List[str]]:
-    return [[str(value) for value in row] for row in rows]
-
-
 def _serve_one(
     session: QuerySession, verb: str, payload: Dict[str, Any], budget: Budget
 ) -> Dict[str, Any]:
@@ -158,19 +154,11 @@ def _serve_one(
     max_depth = payload.get("max_depth")
     if verb == "QUERY":
         result = session.execute(source, max_depth, budget)
-        return {
-            "strategy": result.strategy,
-            "answers": _render_rows(result.rows),
-            "count": len(result.rows),
-            "plan_cached": result.plan_cached,
-            "result_cached": result.result_cached,
-            "elapsed": result.elapsed,
-            "counters": (
-                result.counters.as_dict()
-                if result.counters is not None
-                else None
-            ),
-        }
+        return _query_payload(
+            result.strategy, result.answers, result.plan_cached,
+            result.result_cached, result.elapsed,
+            result.counters.as_dict() if result.counters is not None else None,
+        )
     if verb == "PLAN":
         start = time.perf_counter()
         plan, cached = session.plan(source)
@@ -201,8 +189,9 @@ def _worker_main(
     """Child process loop: recv request, evaluate, send reply.
 
     The session is built *here*, over the forked database snapshot, so
-    the worker owns fresh plan/result caches and never shares mutable
-    evaluator state with the parent.  It inherits the parent's
+    the worker owns a fresh plan cache and never shares mutable
+    evaluator state with the parent; result caching is off, the parent
+    owns the one answer cache.  It inherits the parent's
     slow-query threshold so pooled queries are profiled under the same
     policy as in-process ones; the resulting entries cross back as the
     reply sidecar.  ``reqlog_size=0``: the
@@ -216,6 +205,7 @@ def _worker_main(
     session = QuerySession(
         database,
         max_depth=max_depth,
+        result_cache_size=0,
         slow_query_ms=slow_query_ms,
         slowlog_size=slowlog_size,
         reqlog_size=0,
@@ -277,10 +267,10 @@ def _worker_main(
 class _Worker:
     __slots__ = (
         "proc", "pipe", "cancel_seq", "cancel_code",
-        "busy", "owned", "generation", "seq", "kill_at",
+        "busy", "owned", "generation", "version", "seq", "kill_at",
     )
 
-    def __init__(self, proc, pipe, cancel_seq, cancel_code, generation):
+    def __init__(self, proc, pipe, cancel_seq, cancel_code, generation, version):
         self.proc = proc
         self.pipe = pipe
         self.cancel_seq = cancel_seq
@@ -290,6 +280,8 @@ class _Worker:
         #: must not touch it until the dispatcher detaches.
         self.owned = False
         self.generation = generation
+        #: The database version of the snapshot this worker was forked at.
+        self.version = version
         self.seq = 0
         #: Deadline for a cancelled request's reply, after which the
         #: worker is deemed unresponsive and killed.  None = no kill
@@ -409,17 +401,6 @@ class WorkerPool:
         return snap
 
     # -- forking --------------------------------------------------------
-    def _current_key(self):
-        # Under the session lock no mutation is mid-flight, so the
-        # version counters are a consistent snapshot stamp.
-        with self.session._lock:
-            database = self.session.database
-            return (
-                dict(database.relation_versions),
-                database.edb_version,
-                database.idb_version,
-            )
-
     def _spawn_locked(self, generation: int) -> _Worker:
         pipe, child_pipe = self._ctx.Pipe(duplex=True)
         cancel_seq = self._ctx.RawValue("q", -1)
@@ -427,6 +408,7 @@ class WorkerPool:
         # Fork under the session lock: a mutation cannot be mid-flight,
         # so the child's copy-on-write database is a committed snapshot.
         with self.session._lock:
+            version = self.session.database.version
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(
@@ -444,11 +426,13 @@ class WorkerPool:
             )
             proc.start()
         child_pipe.close()
-        return _Worker(proc, pipe, cancel_seq, cancel_code, generation)
+        return _Worker(proc, pipe, cancel_seq, cancel_code, generation, version)
 
     def _refresh_locked(self, force: bool = False) -> None:
         """Fork a fresh generation when the database drifted."""
-        key = self._current_key()
+        # Every mutation bumps one of its two counters, so the O(1)
+        # version stamp identifies a snapshot.
+        key = self.session.database.version
         if not force and key == self._snapshot_key:
             return
         self._generation += 1
@@ -471,7 +455,7 @@ class WorkerPool:
         self._snapshot_key = key
 
     # -- dispatch -------------------------------------------------------
-    def _acquire(self, affinity: int) -> _Worker:
+    def _acquire(self) -> _Worker:
         with self._free:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
@@ -479,14 +463,9 @@ class WorkerPool:
             try:
                 while True:
                     self._refresh_locked()
-                    worker = None
-                    if self._workers:
-                        preferred = self._workers[affinity % len(self._workers)]
-                        if not preferred.busy:
-                            worker = preferred
-                        else:
-                            free = [w for w in self._workers if not w.busy]
-                            worker = free[0] if free else None
+                    worker = next(
+                        (w for w in self._workers if not w.busy), None
+                    )
                     if worker is not None:
                         worker.busy = True
                         worker.owned = True
@@ -595,7 +574,7 @@ class WorkerPool:
         if request_id is not None:
             payload["request_id"] = request_id
         wait_start = time.perf_counter()
-        worker = self._acquire(hash(source))
+        worker = self._acquire()
         self.session.metrics.record_worker_wait(
             time.perf_counter() - wait_start
         )
@@ -616,6 +595,8 @@ class WorkerPool:
                     if reply_seq != seq:
                         continue  # stale reply from a cancelled request
                     self._release(worker)
+                    if kind == "ok":
+                        data["version"] = worker.version
                     return self._unwrap(kind, data)
             except (EOFError, OSError):
                 self._replace_dead(worker)

@@ -144,6 +144,49 @@ class TestParity:
             assert snap["workers"]["dispatches"] == 1
 
 
+class TestOneCache:
+    """The answer cache is the serving process's, whatever evaluates."""
+
+    @pytest.mark.parametrize("build, queries", WORKLOADS)
+    def test_hit_ratio_independent_of_workers(self, build, queries):
+        probes = queries + [queries[0].replace("p0_0", "p0_1")]
+        schedule = [probes[i % len(probes)] for i in (0, 1, 0, 0, 2, 1, 0, 2, 1)]
+        seen = {}
+        for workers in (0, 1, 2):
+            with AsyncQueryServer(QuerySession(build()), workers=workers) as server:
+                replies = [server.handle_line(f"QUERY {q}") for q in schedule]
+                stats = server.handle_line("STATS")["stats"]
+            counts = {k: stats["result_cache"][k] for k in ("hits", "misses")}
+            assert counts["misses"] == len(set(schedule))
+            assert counts["hits"] == len(schedule) - counts["misses"]
+            if workers:
+                # A hit never dispatches.
+                assert stats["workers"]["dispatches"] == counts["misses"]
+            seen[workers] = (
+                counts,
+                [(r["answers"], r["result_cached"]) for r in replies],
+            )
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_stale_snapshot_answer_is_returned_but_not_adopted(self):
+        session = QuerySession(family_database(CONFIG, program=SG))
+        query = "sg(p0_0, Y)"
+        with AsyncQueryServer(session, workers=1) as server:
+            # Evaluated on the snapshot forked before the write ...
+            stale = server.pool.execute("QUERY", query)
+            assert session.add_fact("sibling", ("p1_1", "p1_4"))
+            assert stale["version"] != session.database.version
+            # ... so it reaches its client and nowhere else.
+            session.adopt(query, stale)
+            assert session.cache_sizes()["result_cache"] == 0
+            fresh = server.handle_line(f"QUERY {query}")
+            assert not fresh["result_cached"]
+            assert fresh["answers"] != stale["answers"]
+            again = server.handle_line(f"QUERY {query}")
+            assert again["result_cached"] and again["answers"] == fresh["answers"]
+            assert server.pool.snapshot()["dispatches"] == 2
+
+
 class TestPool:
     @pytest.fixture
     def session(self):
@@ -156,12 +199,14 @@ class TestPool:
             assert payload["strategy"]
             assert pool.snapshot()["dispatches"] == 1
 
-    def test_affinity_reuses_worker_cache(self, session):
+    def test_workers_are_cold_evaluators(self, session):
         with WorkerPool(session, size=2) as pool:
             first = pool.execute("QUERY", "sg(p0_0, Y)")
             second = pool.execute("QUERY", "sg(p0_0, Y)")
+            # No worker-side answer cache: the parent owns the only one.
             assert not first["result_cached"]
-            assert second["result_cached"]
+            assert not second["result_cached"]
+            assert first["version"] == session.database.version
 
     def test_mutation_refreshes_snapshot(self, session):
         with WorkerPool(session, size=1) as pool:
