@@ -1,5 +1,6 @@
-"""Query analysis: rectification, chain compilation, adornment,
-finiteness analysis and the chain-split cost model."""
+"""Query analysis: the dependency graph, rectification, chain
+compilation, adornment, finiteness analysis and the chain-split cost
+model."""
 
 from .adornment import (
     AdornedLiteral,
@@ -19,6 +20,7 @@ from .chains import (
     is_bounded_recursion,
 )
 from .cost import CostModel, LinkageDecision
+from .depgraph import ClosureInfo, DependencyGraph
 from .graphviz import chain_to_dot, program_to_dot, proof_to_dot
 from .joinorder import CostBasedOrderer
 from .finiteness import (
@@ -37,10 +39,12 @@ __all__ = [
     "AdornedProgram",
     "AdornedRule",
     "ChainPath",
+    "ClosureInfo",
     "CompilationError",
     "CompiledRecursion",
     "CostBasedOrderer",
     "CostModel",
+    "DependencyGraph",
     "chain_to_dot",
     "FUNCTOR_PREDICATES",
     "LinkageDecision",

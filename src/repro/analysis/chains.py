@@ -20,12 +20,13 @@ and ``nonlinear`` (several recursive literals — ``qsort``).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datalog.literals import Literal, Predicate
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Term, Var
 from ..engine.builtins import BuiltinRegistry, default_registry
+from .depgraph import DependencyGraph
 
 __all__ = [
     "ChainPath",
@@ -260,26 +261,25 @@ def is_bounded_recursion(compiled: CompiledRecursion) -> bool:
 
 
 def classify_recursion(
-    program: Program, predicate: Predicate
+    program: Union[Program, DependencyGraph], predicate: Predicate
 ) -> str:
-    """Classify ``predicate``'s recursion (paper §1/§4 taxonomy)."""
-    rules = program.rules_for(predicate)
+    """Classify ``predicate``'s recursion (paper §1/§4 taxonomy).
+
+    ``program`` may be an already-built :class:`DependencyGraph`, which
+    is what the planner passes; rectification adds only builtin
+    literals, so the class of the original and rectified rules agree.
+    """
+    graph = (
+        program if isinstance(program, DependencyGraph) else DependencyGraph(program)
+    )
+    rules = graph.rules_for(predicate)
     if not rules:
         raise CompilationError(f"no rules define {predicate}")
-
-    recursive = program.recursive_predicates()
-    if predicate not in recursive:
+    if predicate not in graph.recursive:
         return RecursionClass.NON_RECURSIVE
-
     # Mutual recursion: the predicate's cycle passes through another
-    # predicate (no rule of `predicate` calls it directly, or a
-    # dependency cycle involves >1 predicate).
-    graph = program.dependency_graph()
-    in_cycle_with_other = False
-    for component in Program._strongly_connected_components(graph):
-        if predicate in component and len(component) > 1:
-            in_cycle_with_other = True
-    if in_cycle_with_other:
+    # predicate.
+    if any(predicate in c and len(c) > 1 for c in graph.components):
         return RecursionClass.MUTUAL
 
     max_self_occurrences = 0
@@ -297,6 +297,6 @@ def classify_recursion(
     # some body of this predicate's rules.
     for rule in rules:
         for lit in rule.body:
-            if lit.predicate != predicate and lit.predicate in recursive:
+            if lit.predicate != predicate and lit.predicate in graph.recursive:
                 return RecursionClass.NESTED_LINEAR
     return RecursionClass.LINEAR

@@ -14,6 +14,7 @@ from ..datalog.literals import Predicate
 from ..datalog.rules import Program
 from ..engine.proofs import ProofNode
 from .chains import CompiledRecursion
+from .depgraph import DependencyGraph
 from .finiteness import PathSplit
 
 __all__ = ["program_to_dot", "chain_to_dot", "proof_to_dot"]
@@ -29,15 +30,15 @@ def program_to_dot(program: Program, name: str = "dependencies") -> str:
     Recursive predicates are drawn as doubled ellipses; negative
     dependencies as dashed edges.
     """
-    recursive = program.recursive_predicates()
+    graph = DependencyGraph(program)
     idb = program.idb_predicates()
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    nodes: Set[Predicate] = set(program.dependency_graph())
-    for deps in program.dependency_graph().values():
-        nodes |= deps
+    nodes: Set[Predicate] = set(graph.edges)
+    for deps in graph.edges.values():
+        nodes.update(deps)
     for node in sorted(nodes, key=str):
         attributes = []
-        if node in recursive:
+        if node in graph.recursive:
             attributes.append("peripheries=2")
         if node not in idb:
             attributes.append("shape=box")

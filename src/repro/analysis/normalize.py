@@ -14,26 +14,29 @@ from typing import Dict, Optional, Tuple
 from ..datalog.literals import Predicate
 from ..datalog.rules import Program
 from ..engine.builtins import BuiltinRegistry, default_registry
-from .chains import CompiledRecursion, RecursionClass, classify_recursion, compile_recursion
-from .rectify import rectify_program
+from .chains import CompiledRecursion, classify_recursion, compile_recursion
+from .depgraph import DependencyGraph
 
 __all__ = ["normalize", "NormalizedProgram"]
 
 
 class NormalizedProgram:
-    """A rectified program plus compiled forms for its linear
-    recursions, computed on demand and cached."""
+    """A rectified program, its dependency graph, and compiled forms for
+    its linear recursions, computed on demand and cached."""
 
     def __init__(self, program: Program, registry: Optional[BuiltinRegistry] = None):
         self.original = program
-        self.program = rectify_program(program)
         self.registry = registry if registry is not None else default_registry()
+        #: The one dependency analysis of these rules; it also owns the
+        #: rectification, so both are built once per IDB version.
+        self.graph = DependencyGraph(program, self.registry)
+        self.program = self.graph.rectified
         self._compiled: Dict[Predicate, CompiledRecursion] = {}
         self._classes: Dict[Predicate, str] = {}
 
     def classify(self, predicate: Predicate) -> str:
         if predicate not in self._classes:
-            self._classes[predicate] = classify_recursion(self.program, predicate)
+            self._classes[predicate] = classify_recursion(self.graph, predicate)
         return self._classes[predicate]
 
     def compiled(self, predicate: Predicate) -> CompiledRecursion:

@@ -30,11 +30,10 @@ mutual                 magic sets
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..datalog.literals import COMPARISON_PREDICATES, Literal, Predicate
+from ..datalog.literals import Literal, Predicate
 from ..datalog.parser import parse_query
-from ..datalog.rules import Program
 from ..datalog.terms import Struct, Term, Var, is_ground
 from ..datalog.unify import Substitution, apply_substitution, unify_sequences
 from ..engine.builtins import BuiltinRegistry, default_registry
@@ -48,10 +47,10 @@ from ..analysis.chains import (
     CompilationError,
     CompiledRecursion,
     RecursionClass,
-    classify_recursion,
     is_bounded_recursion,
 )
 from ..analysis.cost import CostModel
+from ..analysis.depgraph import DependencyGraph
 from ..analysis.normalize import NormalizedProgram
 from .buffered import BufferedChainEvaluator
 from .counting import CountingError, CountingEvaluator
@@ -223,6 +222,14 @@ class Planner:
         self._analysis_idb_version = self.database.idb_version
         return True
 
+    @property
+    def graph(self) -> DependencyGraph:
+        """The dependency graph of the current rules: one instance per
+        IDB version, built beside the rectification and shared with an
+        IVM session's view manager."""
+        self.refresh()
+        return self._normalized.graph
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -251,7 +258,8 @@ class Planner:
         self.refresh()
         query, constraints = self._parse(query_source)
         predicate = query.predicate
-        if predicate not in self._rect_db.program.head_predicates():
+        graph = self._normalized.graph
+        if not graph.is_idb(predicate):
             if self.database.get(predicate) is not None:
                 return QueryPlan(
                     query, constraints, Strategy.SEMI_NAIVE, RecursionClass.NON_RECURSIVE
@@ -259,7 +267,10 @@ class Planner:
             raise PlanningError(f"unknown predicate {predicate}")
 
         recursion_class = self._normalized.classify(predicate)
-        functional = self._closure_is_functional(predicate)
+        # Negation or functional builtins (constructors, arithmetic) in
+        # the rectified closure: bottom-up set-oriented evaluation needs
+        # guards a plain magic rewrite does not provide.
+        functional = not graph.info(predicate).maintainable
 
         if recursion_class == RecursionClass.NON_RECURSIVE:
             if functional:
@@ -364,35 +375,6 @@ class Planner:
     # ------------------------------------------------------------------
     # Planning details
     # ------------------------------------------------------------------
-    def _closure_is_functional(self, predicate: Predicate) -> bool:
-        """True when the rectified definition of ``predicate``
-        (transitively) uses functional builtins or negation — the
-        signal that bottom-up set-oriented evaluation needs guards a
-        plain magic rewrite does not provide."""
-        program = self._rect_db.program
-        graph = program.dependency_graph()
-        idb = program.head_predicates()
-        seen = {predicate}
-        stack = [predicate]
-        while stack:
-            current = stack.pop()
-            for rule in program.rules_for(current):
-                for literal in rule.body:
-                    if literal.negated:
-                        return True
-                    builtin = self.registry.get(literal.predicate)
-                    if (
-                        builtin is not None
-                        and not literal.is_comparison()
-                        and literal.name != "="
-                    ):
-                        # cons / sum / is / ... : infinite relations.
-                        return True
-                    if literal.predicate in idb and literal.predicate not in seen:
-                        seen.add(literal.predicate)
-                        stack.append(literal.predicate)
-        return False
-
     def _parse(self, query_source) -> Tuple[Literal, List[Literal]]:
         if isinstance(query_source, Literal):
             return query_source, []
@@ -528,9 +510,13 @@ class Planner:
     def _run_semi_naive(
         self, plan: QueryPlan, ctx: EvalContext
     ) -> Tuple[Relation, Counters]:
+        # Only the query's closure: the rules it depends on are a
+        # splitting set, so their fixpoint is the whole program's on the
+        # query predicate.  A stored relation evaluates nothing at all.
+        closure = self._normalized.graph.subprogram(plan.query.predicate)
         result = SemiNaiveEvaluator(
             self.database, self.registry, ctx=ctx
-        ).evaluate()
+        ).evaluate(closure)
         return self._filter(plan.query, result.relations, ctx), result.counters
 
     def _run_magic(

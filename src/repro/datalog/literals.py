@@ -29,13 +29,14 @@ class Predicate:
     catalog, the dependency graph and the adornment machinery.
     """
 
-    __slots__ = ("name", "arity")
+    __slots__ = ("name", "arity", "_hash")
 
     def __init__(self, name: str, arity: int):
         if arity < 0:
             raise ValueError("arity must be non-negative")
         self.name = name
         self.arity = arity
+        self._hash = hash((name, arity))
 
     def __repr__(self) -> str:
         return f"Predicate({self.name!r}, {self.arity})"
@@ -51,7 +52,7 @@ class Predicate:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.arity))
+        return self._hash
 
 
 class Literal:

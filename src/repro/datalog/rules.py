@@ -2,18 +2,18 @@
 
 A :class:`Rule` is a Horn clause ``head :- b1, ..., bn``; a fact is a
 rule with an empty body and a ground head.  A :class:`Program` is an
-ordered collection of rules with the derived catalog information the
-analyses need: which predicates are intensional (appear in some head)
-versus extensional, the predicate dependency graph, and recursion
-detection (strongly connected components of that graph).
+ordered collection of rules with the catalog information the analyses
+need: which predicates are intensional (appear in some head) versus
+extensional.  Dependency structure — recursion, strata, closures — is
+:class:`repro.analysis.depgraph.DependencyGraph`'s.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set
 
 from .literals import Literal, Predicate
-from .terms import Term, Var, fresh_variable_factory, is_ground
+from .terms import Term, Var, is_ground
 from .unify import Substitution, rename_apart
 
 __all__ = ["Rule", "Program"]
@@ -151,124 +151,6 @@ class Program:
 
     def proper_rules(self) -> List[Rule]:
         return [rule for rule in self.rules if rule.body]
-
-    # ------------------------------------------------------------------
-    # Dependency analysis
-    # ------------------------------------------------------------------
-    def dependency_graph(self) -> Dict[Predicate, Set[Predicate]]:
-        """Map each head predicate to the predicates its bodies use."""
-        graph: Dict[Predicate, Set[Predicate]] = {}
-        for rule in self.rules:
-            deps = graph.setdefault(rule.head.predicate, set())
-            for lit in rule.body:
-                deps.add(lit.predicate)
-        return graph
-
-    def recursive_predicates(self) -> Set[Predicate]:
-        """Predicates involved in a dependency cycle (incl. self-loops)."""
-        graph = self.dependency_graph()
-        recursive: Set[Predicate] = set()
-        for component in self._strongly_connected_components(graph):
-            if len(component) > 1:
-                recursive.update(component)
-            else:
-                (pred,) = component
-                if pred in graph.get(pred, set()):
-                    recursive.add(pred)
-        return recursive
-
-    def is_recursive(self, predicate: Predicate) -> bool:
-        return predicate in self.recursive_predicates()
-
-    def strata(self) -> List[Set[Predicate]]:
-        """Stratify the program for negation.
-
-        Returns predicate strata bottom-up.  Raises :class:`ValueError`
-        when a predicate depends negatively on its own stratum (the
-        program is not stratifiable).
-        """
-        idb = self.head_predicates()
-        stratum: Dict[Predicate, int] = {p: 0 for p in idb}
-        changed = True
-        limit = len(idb) + 1
-        iterations = 0
-        while changed:
-            changed = False
-            iterations += 1
-            if iterations > limit * limit + 1:
-                raise ValueError("program is not stratifiable")
-            for rule in self.rules:
-                head = rule.head.predicate
-                for lit in rule.body:
-                    if lit.predicate not in idb:
-                        continue
-                    needed = stratum[lit.predicate] + (1 if lit.negated else 0)
-                    if stratum[head] < needed:
-                        stratum[head] = needed
-                        changed = True
-                        if stratum[head] > limit:
-                            raise ValueError("program is not stratifiable")
-        levels: Dict[int, Set[Predicate]] = {}
-        for pred, level in stratum.items():
-            levels.setdefault(level, set()).add(pred)
-        return [levels[i] for i in sorted(levels)]
-
-    @staticmethod
-    def _strongly_connected_components(
-        graph: Dict[Predicate, Set[Predicate]]
-    ) -> List[Set[Predicate]]:
-        """Tarjan's algorithm, iterative to respect recursion limits."""
-        index_counter = [0]
-        indexes: Dict[Predicate, int] = {}
-        lowlinks: Dict[Predicate, int] = {}
-        on_stack: Set[Predicate] = set()
-        stack: List[Predicate] = []
-        components: List[Set[Predicate]] = []
-
-        nodes = set(graph)
-        for deps in graph.values():
-            nodes.update(deps)
-
-        for root in nodes:
-            if root in indexes:
-                continue
-            work: List[Tuple[Predicate, Iterable[Predicate]]] = [
-                (root, iter(sorted(graph.get(root, ()), key=str)))
-            ]
-            indexes[root] = lowlinks[root] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in indexes:
-                        indexes[succ] = lowlinks[succ] = index_counter[0]
-                        index_counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(graph.get(succ, ()), key=str))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        lowlinks[node] = min(lowlinks[node], indexes[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-                if lowlinks[node] == indexes[node]:
-                    component: Set[Predicate] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(component)
-        return components
 
     # ------------------------------------------------------------------
     # Dunder plumbing

@@ -25,13 +25,15 @@ incrementally across rounds — no per-round delta relations and no
 index rebuilds.
 
 Both evaluators are stratified: negation is allowed as long as the
-program is stratifiable (checked by :meth:`Program.strata`).
+program is stratifiable (checked by
+:meth:`~repro.analysis.depgraph.DependencyGraph.strata`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..analysis.depgraph import DependencyGraph
 from ..datalog.literals import Literal, Predicate
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Term, is_ground
@@ -101,11 +103,6 @@ def delta_first_order(
     ]
 
 
-#: Backwards-compatible private alias (the evaluator below predates the
-#: public name).
-_delta_first_order = delta_first_order
-
-
 def head_row(rule: Rule, subst: Substitution) -> Tuple[Term, ...]:
     """Instantiate ``rule``'s head under ``subst`` as a ground row.
 
@@ -123,7 +120,7 @@ def head_row(rule: Rule, subst: Substitution) -> Tuple[Term, ...]:
 
 
 class _BottomUpEvaluator:
-    """Shared scaffolding: strata, lookups, head instantiation."""
+    """Shared scaffolding: lookups, head instantiation."""
 
     def __init__(
         self,
@@ -160,9 +157,6 @@ class _BottomUpEvaluator:
     def _head_row(rule: Rule, subst: Substitution) -> Tuple[Term, ...]:
         return head_row(rule, subst)
 
-    def _strata(self, program: Program) -> List[Set[Predicate]]:
-        return program.strata()
-
 
 class SemiNaiveEvaluator(_BottomUpEvaluator):
     """Stratified semi-naive fixpoint evaluation.
@@ -193,7 +187,7 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         derived: Dict[Predicate, Relation] = {}
         run_span = self.ctx.begin("evaluate", "semi_naive")
         try:
-            for stratum in self._strata(program):
+            for stratum in DependencyGraph(program, self.registry).strata():
                 stopped = self._evaluate_stratum(
                     program, stratum, derived, counters, stop_condition
                 )
@@ -250,7 +244,7 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
                 if self._orderer is not None:
                     variant_orders[(id(rule), slot)] = ordered_bodies[id(rule)]
                 else:
-                    variant_orders[(id(rule), slot)] = _delta_first_order(
+                    variant_orders[(id(rule), slot)] = delta_first_order(
                         rule, slot, self.registry
                     )
 
@@ -410,7 +404,7 @@ class NaiveEvaluator(_BottomUpEvaluator):
         program = program if program is not None else self.database.program
         counters = Counters()
         derived: Dict[Predicate, Relation] = {}
-        for stratum in self._strata(program):
+        for stratum in DependencyGraph(program, self.registry).strata():
             self._evaluate_stratum(program, stratum, derived, counters)
         return EvaluationResult(derived, counters)
 

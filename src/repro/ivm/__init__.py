@@ -5,12 +5,12 @@ retractions instead of recomputing them from scratch, reusing the
 engine's semi-naive delta machinery (generation windows, delta-first
 body variants) as the propagation substrate:
 
-* :mod:`repro.ivm.depgraph` — per-predicate closure analysis over the
-  IDB: which stored relations a predicate transitively depends on, and
-  whether its closure is *maintainable* (definite, non-functional),
-  merely *materializable* (stratified negation: recompute-and-diff), or
-  *non-materializable* (functional builtins build unbounded structures;
-  no view is kept).
+* :mod:`repro.analysis.depgraph` (not in this package) — the one
+  dependency analysis: which stored relations a predicate transitively
+  depends on, and whether its closure is *maintainable* (definite,
+  non-functional), merely *materializable* (stratified negation:
+  recompute-and-diff), or *non-materializable* (functional builtins
+  build unbounded structures; no view is kept).
 * :mod:`repro.ivm.view` — :class:`Materialization`, one maintained
   fixpoint per predicate closure.  Inserts propagate with semi-naive
   delta rounds seeded from the batch's log windows; retractions run
@@ -22,14 +22,11 @@ body variants) as the propagation substrate:
   repair, view-backed answers and SUBSCRIBE delta feeds.
 """
 
-from .depgraph import ClosureInfo, DependencyGraph
 from .manager import MaintenanceReport, MaterializedView, ViewManager
 from .view import ApplyResult, Materialization
 
 __all__ = [
     "ApplyResult",
-    "ClosureInfo",
-    "DependencyGraph",
     "MaintenanceReport",
     "MaterializedView",
     "Materialization",

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.depgraph import DependencyGraph
 from ..datalog.literals import Predicate
 from ..engine.builtins import BuiltinRegistry, default_registry
 from ..engine.context import DISABLED, EvalContext
 from ..engine.database import Database, MutationBatch
 from ..engine.relation import Relation, Row
-from .depgraph import DependencyGraph
 from .view import Materialization
 
 __all__ = ["MaintenanceReport", "MaterializedView", "ViewManager"]
@@ -80,36 +80,23 @@ class ViewManager:
         self.database.remove_mutation_listener(self._on_batch)
 
     # ------------------------------------------------------------------
-    # Classification
-    # ------------------------------------------------------------------
-    def closure(self, predicate: Predicate):
-        """The invalidation footprint of ``predicate``."""
-        if self.graph.is_idb(predicate):
-            return self.graph.closure(predicate)
-        return frozenset((predicate,))
-
-    def maintainable(self, predicate: Predicate) -> bool:
-        return self.graph.is_idb(predicate) and self.graph.info(
-            predicate
-        ).maintainable
-
-    def materializable(self, predicate: Predicate) -> bool:
-        return self.graph.is_idb(predicate) and self.graph.info(
-            predicate
-        ).materializable
-
-    # ------------------------------------------------------------------
     # Program changes
     # ------------------------------------------------------------------
     def _check_program(self) -> None:
         """Catch rule mutations that bypassed the session's ``_sync``."""
         if self.database.idb_version != self._idb_version:
-            self.on_idb_change()
+            self.on_idb_change(
+                DependencyGraph(self.database.program, self.registry)
+            )
 
-    def on_idb_change(self) -> None:
-        """Rules changed: every closure and materialization is stale."""
+    def on_idb_change(self, graph: DependencyGraph) -> None:
+        """Rules changed: every closure and materialization is stale.
+
+        ``graph`` describes the new rules; a session passes its
+        planner's, so planning and IVM classify with one instance.
+        """
         self._idb_version = self.database.idb_version
-        self.graph = DependencyGraph(self.database.program, self.registry)
+        self.graph = graph
         pinned = {p for p, fix in self.fixpoints.items() if fix.pinned}
         self.fixpoints.clear()
         self.views.clear()
@@ -117,10 +104,10 @@ class ViewManager:
         # must not patch results cached after the flush.
         self.pending.clear()
         # Re-pin subscribed predicates so their delta feeds survive
-        # rule mutations (the first post-change batch recomputes).
+        # rule mutations (the first post-change batch recomputes); one
+        # that turned functional is refused and simply stays unpinned.
         for predicate in pinned:
-            if self.materializable(predicate):
-                self.ensure_pinned(predicate)
+            self.ensure_pinned(predicate)
 
     def rebuild(self, ctx: EvalContext = DISABLED) -> int:
         """Recompute every registered materialization from base state.
@@ -169,13 +156,13 @@ class ViewManager:
         them.
         """
         self._check_program()
-        if not self.maintainable(predicate):
+        if not (
+            self.graph.is_idb(predicate) and self.graph.info(predicate).maintainable
+        ):
             return None
         fix = self.fixpoints.get(predicate)
         if fix is None:
-            fix = Materialization(
-                self.database, self.graph.info(predicate), self.registry
-            )
+            fix = Materialization(self.database, self.graph, predicate)
             fix.refresh(ctx)
             self.fixpoints[predicate] = fix
         elif fix.dirty:
@@ -222,7 +209,7 @@ class ViewManager:
             )
         fix = self.fixpoints.get(predicate)
         if fix is None:
-            fix = Materialization(self.database, info, self.registry)
+            fix = Materialization(self.database, self.graph, predicate)
             fix.refresh(ctx)
             self.fixpoints[predicate] = fix
         elif fix.dirty:

@@ -24,7 +24,7 @@ and retractions:
 A closure with stratified negation is still *materializable* but not
 incrementally maintainable here; :meth:`apply` falls back to
 :meth:`refresh` (recompute and diff).  Closures over functional
-builtins are rejected upstream (:mod:`repro.ivm.depgraph`) — their
+builtins are rejected upstream (:mod:`repro.analysis.depgraph`) — their
 extensions are unbounded.
 
 Failure containment: if maintenance faults mid-flight (e.g. injected
@@ -37,16 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..analysis.depgraph import DependencyGraph
 from ..datalog.literals import Literal, Predicate
-from ..datalog.rules import Program, Rule
+from ..datalog.rules import Rule
 from ..datalog.unify import unify_sequences
-from ..engine.builtins import BuiltinRegistry
 from ..engine.context import DISABLED, EvalContext
 from ..engine.database import Database, MutationBatch, RelationDelta
 from ..engine.joins import evaluate_body, order_body
 from ..engine.relation import OverlayRelation, Relation, Row
 from ..engine.seminaive import SemiNaiveEvaluator, delta_first_order, head_row
-from .depgraph import ClosureInfo
 
 __all__ = ["ApplyResult", "Materialization"]
 
@@ -74,26 +73,26 @@ class Materialization:
     def __init__(
         self,
         database: Database,
-        info: ClosureInfo,
-        registry: BuiltinRegistry,
+        graph: DependencyGraph,
+        predicate: Predicate,
     ):
+        info = graph.info(predicate)
         self.database = database
-        self.registry = registry
-        self.predicate = info.predicate
+        self.graph = graph
+        self.registry = graph.registry
+        self.predicate = predicate
         self.closure = info.preds
         self.idb = info.idb
-        self.rules: List[Rule] = [
-            rule
-            for rule in database.program
-            if rule.head.predicate in self.idb and rule.body
-        ]
-        self.subprogram = Program(list(self.rules))
-        self._rules_by_head: Dict[Predicate, List[Rule]] = {}
-        for rule in self.rules:
-            self._rules_by_head.setdefault(rule.head.predicate, []).append(rule)
+        self.subprogram = graph.subprogram(predicate)
+        self.rules: List[Rule] = self.subprogram.rules
         #: Incremental maintenance applies (definite, non-functional)?
         self.supported = info.maintainable
-        self.recursive = bool(self.subprogram.recursive_predicates())
+        self.recursive = not self.idb.isdisjoint(graph.recursive)
+        #: Derived predicates of the closure, dependencies first (the
+        #: counting path's evaluation order; it runs only when acyclic).
+        self.order: List[Predicate] = [
+            p for component in graph.components for p in component if p in self.idb
+        ]
         #: Materialized relations, one per derived predicate of the closure.
         self.relations: Dict[Predicate, Relation] = {}
         #: Counting fast path state (non-recursive closures only):
@@ -240,31 +239,6 @@ class Materialization:
     def _prune(changes: Changes) -> Changes:
         return {p: rows for p, rows in changes.items() if rows}
 
-    def _topo_order(self) -> List[Predicate]:
-        """Derived predicates of a non-recursive closure, dependencies first."""
-        deps: Dict[Predicate, set] = {p: set() for p in self.idb}
-        for rule in self.rules:
-            head = rule.head.predicate
-            for literal in rule.body:
-                if literal.predicate in self.idb and literal.predicate != head:
-                    deps[head].add(literal.predicate)
-        order: List[Predicate] = []
-        ready = sorted(
-            (p for p, d in deps.items() if not d), key=str
-        )
-        pending = {p: set(d) for p, d in deps.items() if d}
-        while ready:
-            current = ready.pop()
-            order.append(current)
-            for p in sorted(pending, key=str):
-                pending[p].discard(current)
-                if not pending[p]:
-                    del pending[p]
-                    ready.append(p)
-        if pending:  # pragma: no cover - guarded by the recursion check
-            raise RuntimeError("cycle in a closure classified non-recursive")
-        return order
-
     # ------------------------------------------------------------------
     # Counting fast path (non-recursive closures)
     # ------------------------------------------------------------------
@@ -278,7 +252,7 @@ class Materialization:
                 return relation
             return self.database.get(predicate)
 
-        for predicate in self._topo_order():
+        for predicate in self.order:
             relation = Relation(predicate.name, predicate.arity)
             tally: Dict[Row, int] = {}
             relations[predicate] = relation
@@ -288,7 +262,7 @@ class Materialization:
                 for row in stored:
                     tally[row] = tally.get(row, 0) + 1
                     relation.add(row)
-            for rule in self._rules_by_head.get(predicate, ()):
+            for rule in self.graph.rules_for(predicate):
                 order = order_body(rule.body, self.registry)
                 for subst in evaluate_body(
                     order, lookup, self.registry, {}, ctx=ctx
@@ -309,7 +283,7 @@ class Materialization:
                     delta[predicate] = (
                         self.database.relations[predicate], lo, hi
                     )
-        for predicate in self._topo_order():
+        for predicate in self.order:
             relation = self.relations[predicate]
             tally = self.counts[predicate]
             premark = relation.mark()
@@ -320,7 +294,7 @@ class Materialization:
                     tally[row] = tally.get(row, 0) + 1
                     if relation.add(row):
                         self._note(predicate, row, +1)
-            for rule in self._rules_by_head.get(predicate, ()):
+            for rule in self.graph.rules_for(predicate):
                 self._apply_insert_variants(rule, delta, relation, tally)
             if relation.mark() > premark:
                 delta[predicate] = (relation, premark, relation.mark())
@@ -386,7 +360,7 @@ class Materialization:
                 temp.add(row)
             new_view = lookup(predicate)
             views[predicate] = (temp, OverlayRelation(new_view, temp), new_view)
-        for predicate in self._topo_order():
+        for predicate in self.order:
             relation = self.relations[predicate]
             tally = self.counts[predicate]
             temp = Relation(predicate.name, predicate.arity)
@@ -394,7 +368,7 @@ class Materialization:
             if direct is not None:
                 for row in direct.removed:
                     self._decrement(predicate, relation, tally, row, temp)
-            for rule in self._rules_by_head.get(predicate, ()):
+            for rule in self.graph.rules_for(predicate):
                 slots = [
                     i
                     for i, literal in enumerate(rule.body)
@@ -628,7 +602,7 @@ class Materialization:
             self._propagate(delta, deleted=deleted)
 
     def _has_derivation(self, predicate: Predicate, row: Row) -> bool:
-        for rule in self._rules_by_head.get(predicate, ()):
+        for rule in self.graph.rules_for(predicate):
             theta = unify_sequences(rule.head.args, row)
             if theta is None:
                 continue

@@ -234,6 +234,8 @@ class QuerySession:
             self.views = ViewManager(
                 database, self.planner.registry, metrics=self.metrics
             )
+            # Planning and IVM read one dependency graph per IDB version.
+            self.views.graph = self.planner.graph
             self._seen_relation_versions = dict(database.relation_versions)
 
     # ------------------------------------------------------------------
@@ -264,7 +266,7 @@ class QuerySession:
                 self._plan_cache.clear()
                 self.planner.refresh()
                 if self.views is not None:
-                    self.views.on_idb_change()
+                    self.views.on_idb_change(self.planner.graph)
             self._seen_version = version
             if self.views is not None:
                 self._seen_relation_versions = dict(
@@ -283,7 +285,7 @@ class QuerySession:
         kept = repaired = evicted = 0
         for key, entry in list(self._result_cache.items()):
             predicate, plan = entry.predicate, entry.plan
-            if self.views.closure(predicate).isdisjoint(mutated):
+            if self.views.graph.closure(predicate).isdisjoint(mutated):
                 kept += 1
                 continue
             repaired_rows = None

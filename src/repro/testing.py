@@ -2,25 +2,28 @@
 
 The library's strongest correctness property is that its independent
 strategies agree; these helpers make that assertable in one line in a
-user's own test suite.
+user's own test suite.  Each ``assert_*`` helper is one lane of that
+differential oracle.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .datalog.literals import Literal
+from .analysis.chains import classify_recursion
+from .datalog.literals import Literal, Predicate
 from .datalog.parser import parse_query
 from .engine.database import Database
 from .engine.relation import Relation
 from .engine.seminaive import SemiNaiveEvaluator
 from .engine.topdown import TopDownEvaluator
 from .datalog.unify import apply_substitution, unify_sequences
-from .datalog.terms import Term, is_ground
+from .datalog.terms import Var, is_ground
 
 __all__ = [
     "answers_via_seminaive",
     "answers_via_topdown",
+    "assert_slices_agree",
     "assert_strategies_agree",
 ]
 
@@ -80,6 +83,34 @@ def assert_strategies_agree(
             f"extra answer set #{index} disagrees for {query}"
         )
     return oracle_rows
+
+
+def assert_slices_agree(database: Database) -> Dict[Predicate, frozenset]:
+    """The ``sliced == unsliced`` lane: for every IDB predicate, the
+    planner's ``semi_naive`` plan — which evaluates only the rules of
+    the predicate's closure — answers exactly the whole-program
+    fixpoint restricted to that predicate.  Returns the agreed answers.
+    """
+    from .core.planner import Planner, QueryPlan, Strategy
+
+    planner = Planner(database)
+    whole = SemiNaiveEvaluator(database).evaluate()
+    agreed: Dict[Predicate, frozenset] = {}
+    for predicate in sorted(database.program.head_predicates(), key=str):
+        query = Literal(
+            predicate.name, tuple(Var(f"V{i}") for i in range(predicate.arity))
+        )
+        plan = QueryPlan(
+            query, [], Strategy.SEMI_NAIVE,
+            classify_recursion(planner.graph, predicate),
+        )
+        sliced = frozenset(planner.execute(plan)[0].rows())
+        unsliced = frozenset(whole.relation(predicate.name, predicate.arity).rows())
+        assert sliced == unsliced, (
+            f"sliced != unsliced for {predicate}: {sliced ^ unsliced}"
+        )
+        agreed[predicate] = sliced
+    return agreed
 
 
 def _query(query_source) -> Literal:

@@ -1,7 +1,12 @@
-"""Unit tests for literals, rules and program-level analyses."""
+"""Unit tests for literals, rules and program-level analyses.
+
+The dependency cases run on :class:`DependencyGraph`, the one place
+recursion, strata and dependency edges are computed.
+"""
 
 import pytest
 
+from repro.analysis.depgraph import DependencyGraph
 from repro.datalog.literals import Literal, Predicate
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.rules import Program, Rule
@@ -102,7 +107,7 @@ class TestProgram:
 
     def test_recursive_predicates_self(self):
         program = parse_program(SG)
-        assert program.recursive_predicates() == {Predicate("sg", 2)}
+        assert DependencyGraph(program).recursive == {Predicate("sg", 2)}
 
     def test_recursive_predicates_mutual(self):
         program = parse_program(
@@ -112,13 +117,13 @@ class TestProgram:
             odd(X) :- succ(Y, X), even(Y).
             """
         )
-        recursive = program.recursive_predicates()
+        recursive = DependencyGraph(program).recursive
         assert Predicate("even", 1) in recursive
         assert Predicate("odd", 1) in recursive
 
     def test_non_recursive(self):
         program = parse_program("grand(X, Y) :- parent(X, Z), parent(Z, Y).")
-        assert not program.recursive_predicates()
+        assert not DependencyGraph(program).recursive
 
     def test_strata_negation(self):
         program = parse_program(
@@ -128,7 +133,7 @@ class TestProgram:
             unreach(X) :- node(X), \\+ reach(X).
             """
         )
-        strata = program.strata()
+        strata = DependencyGraph(program).strata()
         level = {p: i for i, s in enumerate(strata) for p in s}
         assert level[Predicate("unreach", 1)] > level[Predicate("reach", 1)]
 
@@ -140,10 +145,10 @@ class TestProgram:
             """
         )
         with pytest.raises(ValueError):
-            program.strata()
+            DependencyGraph(program).strata()
 
     def test_dependency_graph(self):
         program = parse_program(SG)
-        graph = program.dependency_graph()
-        assert Predicate("parent", 2) in graph[Predicate("sg", 2)]
-        assert Predicate("sg", 2) in graph[Predicate("sg", 2)]
+        edges = DependencyGraph(program).edges
+        assert Predicate("parent", 2) in edges[Predicate("sg", 2)]
+        assert Predicate("sg", 2) in edges[Predicate("sg", 2)]
