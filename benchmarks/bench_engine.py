@@ -147,6 +147,7 @@ class LegacySemiNaiveEvaluator(SemiNaiveEvaluator):
         derived: Dict[Predicate, Relation],
         counters: Counters,
         stop_condition=None,
+        on_derive=None,
     ) -> bool:
         rules = [r for r in program if r.head.predicate in stratum]
         for predicate in stratum:

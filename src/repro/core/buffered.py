@@ -26,7 +26,7 @@ graphs for function-free recursions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.literals import Literal, Predicate
 from ..datalog.rules import Rule
@@ -45,6 +45,7 @@ from ..engine.joins import evaluate_body, order_body
 from ..engine.relation import Relation
 from ..analysis.chains import ChainPath, CompiledRecursion
 from ..analysis.finiteness import PathSplit, split_path
+from .counting import exit_rows
 
 __all__ = ["BufferedChainEvaluator", "BufferedEvaluationError"]
 
@@ -258,9 +259,11 @@ class BufferedChainEvaluator:
         exit_span = ctx.begin("stage", "chain_exit")
         changed: List[_CallNode] = []
         for node in calls.values():
-            for row in self._exit_rows(node, counters):
-                if row not in node.results:
-                    node.results.add(row)
+            for row in exit_rows(
+                self.compiled, self.database, self.registry, node.bindings,
+                counters, ctx, self.idb_solver,
+            ):
+                node.results.add(row)
             if node.results:
                 changed.append(node)
         ctx.end(exit_span, calls=len(calls), with_exit_rows=len(changed))
@@ -337,58 +340,6 @@ class BufferedChainEvaluator:
         return answers, counters
 
     # ------------------------------------------------------------------
-    def _exit_rows(
-        self, node: _CallNode, counters: Counters
-    ) -> Iterator[Tuple[Term, ...]]:
-        """Complete head rows obtainable from the exit rules for a call
-        with ``node.bindings`` known, streamed as they are derived."""
-        head_args = self.compiled.head_args
-        lookup = self.database.get
-        call_args = [
-            node.bindings.get(arg.name, Var(f"_Q{p}"))
-            for p, arg in enumerate(head_args)
-        ]
-        # Ground exit facts live in the EDB (the loader stores ground
-        # heads as facts), so match them alongside the exit rules.
-        stored = lookup(self.compiled.predicate)
-        if stored is not None:
-            from ..engine.joins import literal_solutions
-
-            fact_literal = Literal(self.compiled.predicate.name, call_args)
-            for solution in literal_solutions(fact_literal, stored, {}, counters):
-                row = tuple(
-                    apply_substitution(arg, solution) for arg in call_args
-                )
-                if all(is_ground(v) for v in row):
-                    yield row
-        for exit_rule in self.compiled.exit_rules:
-            unified = unify_sequences(exit_rule.head.args, call_args)
-            if unified is None:
-                continue
-            bound_names = {
-                name
-                for name, value in unified.items()
-                if is_ground(value)
-            }
-            exit_order = order_body(
-                exit_rule.body, self.registry, initially_bound=bound_names
-            )
-            for solution in evaluate_body(
-                exit_order,
-                lookup,
-                self.registry,
-                unified,
-                counters,
-                idb_solver=self.idb_solver,
-                ctx=self.ctx,
-            ):
-                row = tuple(
-                    apply_substitution(arg, solution)
-                    for arg in exit_rule.head.args
-                )
-                if all(is_ground(v) for v in row):
-                    yield row
-
     @staticmethod
     def _call_key(bindings: Dict[str, Term]) -> Tuple[object, ...]:
         return tuple(sorted(bindings.items(), key=lambda kv: kv[0]))

@@ -27,15 +27,62 @@ from ..engine.builtins import BuiltinRegistry, default_registry
 from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
-from ..engine.joins import evaluate_body, order_body
+from ..engine.joins import evaluate_body, literal_solutions, order_body
 from ..engine.relation import Relation
 from ..analysis.chains import ChainPath, CompiledRecursion
 
-__all__ = ["CountingEvaluator", "CountingError"]
+__all__ = ["CountingEvaluator", "CountingError", "exit_rows"]
 
 
 class CountingError(ValueError):
     """The recursion/query does not fit the counting method."""
+
+
+def exit_rows(
+    compiled: CompiledRecursion,
+    database: Database,
+    registry: BuiltinRegistry,
+    bindings: Dict[str, Term],
+    counters: Counters,
+    ctx: EvalContext = DISABLED,
+    idb_solver=None,
+) -> Iterator[Tuple[Term, ...]]:
+    """Complete head rows of one call of the recursive predicate whose
+    head variables ``bindings`` binds to ground values: the stored
+    facts that match, then what the exit rules derive, streamed as they
+    are found.  The loader stores ground heads as facts, so a ground
+    exit "rule" lives in the EDB; counting and Algorithms 3.2 / 3.3 all
+    leave the chain through here, so such a fact is an exit row for
+    every one of them."""
+    call_args = [
+        bindings.get(arg.name, Var(f"_Q{p}"))
+        for p, arg in enumerate(compiled.head_args)
+    ]
+    stored = database.get(compiled.predicate)
+    if stored is not None:
+        fact = Literal(compiled.predicate.name, call_args)
+        for solution in literal_solutions(fact, stored, {}, counters):
+            row = tuple(apply_substitution(arg, solution) for arg in call_args)
+            if all(is_ground(v) for v in row):
+                yield row
+    for rule in compiled.exit_rules:
+        unified = unify_sequences(rule.head.args, call_args)
+        if unified is None:
+            continue
+        order = order_body(
+            rule.body,
+            registry,
+            initially_bound={
+                name for name, value in unified.items() if is_ground(value)
+            },
+        )
+        for solution in evaluate_body(
+            order, database.get, registry, unified, counters,
+            idb_solver=idb_solver, ctx=ctx,
+        ):
+            row = tuple(apply_substitution(arg, solution) for arg in rule.head.args)
+            if all(is_ground(v) for v in row):
+                yield row
 
 
 class CountingEvaluator:
@@ -180,49 +227,22 @@ class CountingEvaluator:
         # Answers at level i map the down-chain values to full head
         # tuples of the *innermost* call; the up phase then rewinds.
         exit_span = ctx.begin("stage", "count_exit")
-        per_level_exit: List[List[Substitution]] = []
-        for level, frontier in enumerate(frontiers):
-            level_solutions: List[Substitution] = []
-            for values in frontier:
-                call_args: List[Term] = list(head_args)
-                call_subst = {
-                    head_args[p].name: v
-                    for p, v in zip(down_positions, values)
-                    if isinstance(head_args[p], Var)
-                }
-                for exit_rule in self.compiled.exit_rules:
-                    bound_call = [
-                        apply_substitution(a, call_subst) for a in head_args
-                    ]
-                    unified = unify_sequences(exit_rule.head.args, bound_call)
-                    if unified is None:
-                        continue
-                    exit_order = order_body(
-                        exit_rule.body,
-                        self.registry,
-                        initially_bound=set(unified),
-                    )
-                    for solution in evaluate_body(
-                        exit_order, lookup, self.registry, unified, counters,
-                        ctx=ctx,
-                    ):
-                        head_values = tuple(
-                            apply_substitution(a, solution)
-                            for a in exit_rule.head.args
-                        )
-                        level_solutions.append(
-                            dict(
-                                zip(
-                                    [
-                                        a.name
-                                        for a in head_args
-                                        if isinstance(a, Var)
-                                    ],
-                                    head_values,
-                                )
-                            )
-                        )
-            per_level_exit.append(level_solutions)
+        head_names = [a.name for a in head_args]
+        per_level_exit: List[List[Substitution]] = [
+            [
+                dict(zip(head_names, row))
+                for values in frontier
+                for row in exit_rows(
+                    self.compiled,
+                    self.database,
+                    self.registry,
+                    dict(zip((head_names[p] for p in down_positions), values)),
+                    counters,
+                    ctx,
+                )
+            ]
+            for frontier in frontiers
+        ]
         if ctx.recording:
             exit_solutions = sum(len(s) for s in per_level_exit)
             ctx.end(

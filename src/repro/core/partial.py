@@ -40,6 +40,7 @@ from ..engine.joins import evaluate_body, order_body
 from ..engine.relation import Relation
 from ..analysis.chains import CompiledRecursion
 from ..analysis.finiteness import PathSplit, split_path
+from .counting import exit_rows
 from .pushing import (
     Accumulator,
     PushedConstraint,
@@ -328,67 +329,22 @@ class PartialChainEvaluator:
         answers: Relation,
         counters: Counters,
     ) -> None:
-        head_args = self.compiled.head_args
-        lookup = self.database.get
-        call_args = [
-            frame.call.get(arg.name, Var(f"_Q{p}"))
-            for p, arg in enumerate(head_args)
-        ]
-        # Ground exit facts stored in the EDB participate as exit rows;
-        # each is emitted as soon as it matches (no staging list).
-        stored = lookup(self.compiled.predicate)
-        if stored is not None:
-            from ..engine.joins import literal_solutions
-
-            fact_literal = Literal(self.compiled.predicate.name, call_args)
-            for solution in literal_solutions(fact_literal, stored, {}, counters):
-                fact_row = [
-                    apply_substitution(arg, solution) for arg in call_args
-                ]
-                if not all(is_ground(v) for v in fact_row):
-                    continue
-                self._emit_exit_row(
-                    frame,
-                    query,
-                    kinds,
-                    accumulators,
-                    acc_by_position,
-                    residual_constraints,
-                    answers,
-                    counters,
-                    fact_row,
-                )
-        for exit_rule in self.compiled.exit_rules:
-            unified = unify_sequences(exit_rule.head.args, call_args)
-            if unified is None:
-                continue
-            bound_names = {
-                name for name, value in unified.items() if is_ground(value)
-            }
-            exit_order = order_body(
-                exit_rule.body, self.registry, initially_bound=bound_names
+        # Each exit row is emitted as soon as it matches (no staging list).
+        for exit_row in exit_rows(
+            self.compiled, self.database, self.registry, frame.call,
+            counters, self.ctx,
+        ):
+            self._emit_exit_row(
+                frame,
+                query,
+                kinds,
+                accumulators,
+                acc_by_position,
+                residual_constraints,
+                answers,
+                counters,
+                exit_row,
             )
-            for solution in evaluate_body(
-                exit_order, lookup, self.registry, unified, counters,
-                ctx=self.ctx,
-            ):
-                exit_row = [
-                    apply_substitution(arg, solution)
-                    for arg in exit_rule.head.args
-                ]
-                if not all(is_ground(v) for v in exit_row):
-                    continue
-                self._emit_exit_row(
-                    frame,
-                    query,
-                    kinds,
-                    accumulators,
-                    acc_by_position,
-                    residual_constraints,
-                    answers,
-                    counters,
-                    exit_row,
-                )
 
     def _emit_exit_row(
         self,

@@ -6,23 +6,28 @@ program is handed to this evaluator.  The naive evaluator re-derives
 everything each round and exists as a correctness oracle and as the
 pedagogical baseline in benchmarks.
 
-The semi-naive loop follows the full delta discipline for rules with
-*multiple* recursive body occurrences (nonlinear recursion).  For a
-rule with recursive slots :math:`i_1 < i_2 < \\dots < i_k`, round *n*
-evaluates one variant per slot :math:`i_j` where
+:meth:`SemiNaiveEvaluator.fixpoint` is the one semi-naive loop: the
+evaluator's strata run on it, and so does every delta run of
+incremental view maintenance (:mod:`repro.ivm`).  It follows the full
+delta discipline for rules with *multiple* tracked body occurrences
+(nonlinear recursion).  For a rule with tracked slots
+:math:`i_1 < i_2 < \\dots < i_k`, round *n* evaluates one variant per
+slot :math:`i_j` whose predicate has a non-empty delta, where
 
 * slot :math:`i_j` reads the **delta** :math:`\\Delta P^{(n-1)}`,
-* slots before :math:`i_j` read the **pre-round** relation
+* slots before :math:`i_j` read the relation **before** the delta,
   :math:`P^{(n-2)}`,
-* slots after :math:`i_j` read the **frozen full** relation
+* slots after :math:`i_j` read the relation **after** the delta,
   :math:`P^{(n-1)}`,
 
 so a combination of same-round tuples is derived exactly once instead
-of once per slot.  All three versions are zero-copy generation windows
-(:meth:`~repro.engine.relation.Relation.window`) over the single
-append-only derived relation, whose indexes persist and grow
-incrementally across rounds — no per-round delta relations and no
-index rebuilds.
+of once per slot.  Each delta is a zero-copy generation window
+(:meth:`~repro.engine.relation.Relation.window`) of an append-only log
+— for plain evaluation the derived relation itself, whose indexes
+persist and grow incrementally across rounds, so there are no
+per-round delta relations and no index rebuilds.  The before / after
+versions default to the log's windows too; view maintenance supplies
+its own for its deletion passes.
 
 Both evaluators are stratified: negation is allowed as long as the
 program is stratifiable (checked by
@@ -31,7 +36,7 @@ program is stratifiable (checked by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.depgraph import DependencyGraph
 from ..datalog.literals import Literal, Predicate
@@ -42,16 +47,24 @@ from .builtins import BuiltinRegistry, default_registry
 from .context import DISABLED, EvalContext
 from .counters import Counters
 from .database import Database
-from .joins import UnsafeRuleError, evaluate_body, order_body
-from .relation import Relation
+from .joins import RelationLike, UnsafeRuleError, evaluate_body, order_body
+from .relation import Relation, Row
 
 __all__ = [
     "SemiNaiveEvaluator",
     "NaiveEvaluator",
     "EvaluationResult",
-    "delta_first_order",
     "head_row",
 ]
+
+#: ``derive(predicate, row)`` — called once per derivation the fixpoint
+#: loop enumerates; a true result stops the run.
+Derive = Callable[[Predicate, Row], Optional[bool]]
+
+#: ``views(predicate, delta)`` — what a tracked predicate's slots read
+#: before and after its delta this round (``delta`` is ``None`` when
+#: empty); ``None`` means the delta log's own generation windows.
+Views = Callable[[Predicate, Optional[RelationLike]], Tuple[object, object]]
 
 
 class EvaluationResult:
@@ -80,17 +93,13 @@ class EvaluationResult:
         return f"EvaluationResult({sizes})"
 
 
-def delta_first_order(
+def _delta_first_order(
     rule: Rule, slot: int, registry: BuiltinRegistry
 ) -> List[Tuple[int, Literal]]:
     """A safe body order for the semi-naive variant whose delta sits at
     body position ``slot``: the delta literal leads (the delta window
     is the smallest relation in the join), and the remaining literals
-    are greedily reordered with the delta's variables already bound.
-
-    Public because incremental view maintenance (``repro.ivm``) builds
-    the same delta-first variants for its insert-propagation and
-    over-deletion rounds."""
+    are greedily reordered with the delta's variables already bound."""
     delta_literal = rule.body[slot]
     rest = [(i, lit) for i, lit in enumerate(rule.body) if i != slot]
     ordered_rest = order_body(
@@ -108,7 +117,8 @@ def head_row(rule: Rule, subst: Substitution) -> Tuple[Term, ...]:
 
     Raises :class:`UnsafeRuleError` when a head variable stays unbound —
     the same range-restriction check every bottom-up evaluator applies.
-    Public so ``repro.ivm`` derives head rows with identical semantics.
+    Public so :mod:`repro.testing`'s derivation recount instantiates
+    heads with identical semantics.
     """
     row = tuple(apply_substitution(arg, subst) for arg in rule.head.args)
     for value in row:
@@ -171,6 +181,7 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         self,
         program: Optional[Program] = None,
         stop_condition=None,
+        on_derive: Optional[Callable[[Predicate, Row], None]] = None,
     ) -> EvaluationResult:
         """Evaluate ``program`` (default: the database's IDB).
 
@@ -181,6 +192,11 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         one witness appears (paper §5), and because the join pipeline
         is streaming, the abort takes effect mid-join — the rest of the
         cross product is never enumerated.
+
+        ``on_derive(predicate, row)`` — when provided, it is called for
+        every derivation the rounds enumerate, new or duplicate.  The
+        delta discipline enumerates each derivation exactly once, so
+        incremental view maintenance reads its support counts off it.
         """
         program = program if program is not None else self.database.program
         counters = Counters()
@@ -189,7 +205,8 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         try:
             for stratum in DependencyGraph(program, self.registry).strata():
                 stopped = self._evaluate_stratum(
-                    program, stratum, derived, counters, stop_condition
+                    program, stratum, derived, counters, stop_condition,
+                    on_derive,
                 )
                 if stopped:
                     break
@@ -210,6 +227,7 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         derived: Dict[Predicate, Relation],
         counters: Counters,
         stop_condition=None,
+        on_derive=None,
     ) -> bool:
         ctx = self.ctx
         # Rule ordering + EDB seeding is real per-stratum work;
@@ -218,36 +236,7 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         rules = [r for r in program if r.head.predicate in stratum]
         for predicate in stratum:
             derived.setdefault(predicate, Relation(predicate.name, predicate.arity))
-        lookup = self._make_lookup(derived)
-
-        ordered_bodies = {
-            id(rule): self._order(rule.body) for rule in rules
-        }
-        # Recursive slots: positive body occurrences of same-stratum
-        # predicates, by original body position (ascending).
-        recursive_slots: Dict[int, List[int]] = {}
-        for rule in rules:
-            slots = [
-                i
-                for i, lit in enumerate(rule.body)
-                if lit.predicate in stratum and not lit.negated
-            ]
-            recursive_slots[id(rule)] = slots
-        # Per-variant body orders, computed once per stratum and reused
-        # every round: the delta occurrence is probed *first* (it is
-        # the smallest relation), and the rest of the body is reordered
-        # around the variables it binds.  A pluggable orderer keeps its
-        # own order for every variant.
-        variant_orders: Dict[Tuple[int, int], List[Tuple[int, Literal]]] = {}
-        for rule in rules:
-            for slot in recursive_slots[id(rule)]:
-                if self._orderer is not None:
-                    variant_orders[(id(rule), slot)] = ordered_bodies[id(rule)]
-                else:
-                    variant_orders[(id(rule), slot)] = delta_first_order(
-                        rule, slot, self.registry
-                    )
-
+        plan = self.variants(rules, stratum)
         # Stored EDB facts for a predicate that also has rules would be
         # shadowed by the derived relation; seed them explicitly.  They
         # form the initial delta.
@@ -256,17 +245,81 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
             if stored is not None:
                 for row in stored:
                     derived[predicate].add(row)
-
-        # Generation watermarks into each derived relation's insertion
-        # log: the previous round's new tuples live at [delta_lo, delta_hi),
-        # the pre-round relation is [0, delta_lo), the frozen full
-        # relation is [0, delta_hi).  Round 0 treats the EDB seed as the
-        # incoming delta (pre-round empty).
-        delta_lo: Dict[Predicate, int] = {p: 0 for p in stratum}
-        delta_hi: Dict[Predicate, int] = {p: derived[p].mark() for p in stratum}
-
         ctx.end(setup_span, rules=len(rules))
+
+        def derive(predicate: Predicate, row: Row) -> bool:
+            if on_derive is not None:
+                on_derive(predicate, row)
+            if derived[predicate].add(row):
+                counters.derived_tuples += 1
+                ctx.check_tuple(counters)
+                return stop_condition is not None and stop_condition(derived)
+            counters.duplicate_tuples += 1
+            return False
+
+        return self.fixpoint(
+            plan,
+            {p: (derived[p], 0) for p in stratum},
+            self._make_lookup(derived),
+            counters,
+            derive,
+        )
+
+    def variants(self, rules: Sequence[Rule], tracked) -> list:
+        """The per-rule plan :meth:`fixpoint` runs, computed once per
+        call site rather than per round: each entry is ``(rule,
+        full-body order, tracked slots, variant orders)``, where the
+        tracked slots are the positive body positions on a ``tracked``
+        predicate, as ``(position, predicate)``, and each slot's
+        variant probes its delta first and reorders the rest of the
+        body around the variables it binds.  A pluggable orderer keeps
+        its own order for every variant."""
+        plan = []
+        for rule in rules:
+            body = self._order(rule.body)
+            slots = [
+                (i, lit.predicate)
+                for i, lit in enumerate(rule.body)
+                if lit.predicate in tracked and not lit.negated
+            ]
+            orders = [
+                body if self._orderer is not None
+                else _delta_first_order(rule, slot, self.registry)
+                for slot, _ in slots
+            ]
+            plan.append((rule, body, slots, orders))
+        return plan
+
+    def fixpoint(
+        self,
+        plan: list,
+        logs: Dict[Predicate, Tuple[Relation, int]],
+        lookup,
+        counters: Counters,
+        derive: Derive,
+        views: Optional[Views] = None,
+    ) -> bool:
+        """The semi-naive fixpoint loop: run ``plan`` (from :meth:`variants`)
+        in rounds until no tracked predicate has a new delta.
+
+        ``logs`` maps each tracked predicate to ``(log, lo)``: an
+        append-only relation whose rows from position ``lo`` on form
+        the first delta.  Every later round's delta is what the log
+        gained during the round before.  ``views`` picks what the
+        slots before / after a delta read (default: the log up to the
+        delta's start / end); untracked literals read ``lookup``.
+        ``derive(predicate, row)`` receives each head row the variants
+        produce and grows the logs; a rule with no tracked slot is an
+        exit rule and runs once, over its full body, in the first
+        round.  Returns True when ``derive`` asked to stop.
+        """
+        ctx = self.ctx
         recording = ctx.recording
+        # Generation watermarks into each log: the current delta lives
+        # at [lo, hi), the relation before it is [0, lo), after it
+        # [0, hi).
+        lo = {p: start for p, (_, start) in logs.items()}
+        hi = {p: log.mark() for p, (log, _) in logs.items()}
         first_round = True
         round_no = 0
         while True:
@@ -278,58 +331,51 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
             ctx.check_round(counters.iterations, counters)
             round_no += 1
             if recording:
-                ctx.tracer.round_start(
-                    round_no, sorted(str(p) for p in stratum)
-                )
+                ctx.tracer.round_start(round_no, sorted(str(p) for p in logs))
             round_span = ctx.begin("round", f"round {round_no}")
             round_derived_before = counters.derived_tuples
-            for rule in rules:
-                slots = recursive_slots[id(rule)]
+            reads = {}
+            for p, (log, _) in logs.items():
+                delta = log.window(lo[p], hi[p]) if lo[p] < hi[p] else None
+                if views is None:
+                    reads[p] = (delta, log.window(0, lo[p]), log.window(0, hi[p]))
+                else:
+                    reads[p] = (delta, *views(p, delta))
+            for rule, body, slots, orders in plan:
                 if not slots:
-                    # Exit rule: no same-stratum body occurrence — its
-                    # support cannot grow inside this stratum, so one
-                    # pass (round 0) saturates it.
-                    if not first_round:
-                        continue
-                    if self._apply_rule(
-                        rule, ordered_bodies[id(rule)], lookup, None,
-                        derived, counters, stop_condition,
+                    # Exit rule: no tracked body occurrence — its
+                    # support cannot grow during the run, so one pass
+                    # (the first round) saturates it.
+                    if first_round and self._apply_rule(
+                        rule, body, lookup, None, derive, counters
                     ):
                         return True
                     continue
-                for j, slot in enumerate(slots):
-                    slot_predicate = rule.body[slot].predicate
-                    if delta_lo[slot_predicate] == delta_hi[slot_predicate]:
+                for j, (slot, predicate) in enumerate(slots):
+                    delta = reads[predicate][0]
+                    if delta is None:
                         continue  # empty delta: this variant derives nothing
-                    overrides = {
-                        slot: derived[slot_predicate].window(
-                            delta_lo[slot_predicate], delta_hi[slot_predicate]
-                        )
-                    }
-                    for earlier in slots[:j]:
-                        p = rule.body[earlier].predicate
-                        overrides[earlier] = derived[p].window(0, delta_lo[p])
-                    for later in slots[j + 1 :]:
-                        p = rule.body[later].predicate
-                        overrides[later] = derived[p].window(0, delta_hi[p])
+                    overrides = {slot: delta}
+                    for earlier, p in slots[:j]:
+                        overrides[earlier] = reads[p][1]
+                    for later, p in slots[j + 1 :]:
+                        overrides[later] = reads[p][2]
                     if self._apply_rule(
-                        rule, variant_orders[(id(rule), slot)], lookup,
-                        overrides, derived, counters, stop_condition,
+                        rule, orders[j], lookup, overrides, derive, counters,
                         slot=slot,
                     ):
                         return True
             first_round = False
             progressed = False
-            for predicate in stratum:
-                mark = derived[predicate].mark()
-                if mark > delta_hi[predicate]:
+            for p, (log, _) in logs.items():
+                mark = log.mark()
+                if mark > hi[p]:
                     progressed = True
-                delta_lo[predicate] = delta_hi[predicate]
-                delta_hi[predicate] = mark
+                lo[p] = hi[p]
+                hi[p] = mark
             if recording:
                 ctx.tracer.round_end(
-                    round_no,
-                    {str(p): delta_hi[p] - delta_lo[p] for p in stratum},
+                    round_no, {str(p): hi[p] - lo[p] for p in logs}
                 )
             ctx.end(
                 round_span,
@@ -344,13 +390,13 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         ordered_body,
         lookup,
         overrides,
-        derived: Dict[Predicate, Relation],
+        derive: Derive,
         counters: Counters,
-        stop_condition,
         slot: Optional[int] = None,
     ) -> bool:
-        """Run one rule variant, appending new heads; True = stop."""
-        target = derived[rule.head.predicate]
+        """Run one rule variant, handing each head row to ``derive``;
+        True = stop."""
+        predicate = rule.head.predicate
         ctx = self.ctx
         recording = ctx.recording
         if recording:
@@ -365,21 +411,15 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
             ordered_body, lookup, self.registry, {}, counters,
             overrides=overrides, stage_counts=stage_counts, ctx=ctx,
         ):
-            row = self._head_row(rule, subst)
-            if target.add(row):
-                counters.derived_tuples += 1
-                ctx.check_tuple(counters)
-                if stop_condition is not None and stop_condition(derived):
-                    stopped = True
-                    break
-            else:
-                counters.duplicate_tuples += 1
+            if derive(predicate, self._head_row(rule, subst)):
+                stopped = True
+                break
         if recording:
             derived_here = counters.derived_tuples - before_derived
             duplicates = counters.duplicate_tuples - before_duplicate
             ctx.end(
                 rule_span,
-                predicate=str(rule.head.predicate),
+                predicate=str(predicate),
                 slot=slot,
                 derived=derived_here,
                 duplicates=duplicates,

@@ -3,18 +3,23 @@
 A :class:`Materialization` owns the derived relations of one
 predicate's rule closure and keeps them equal to what a from-scratch
 semi-naive evaluation of that closure would produce, under EDB inserts
-and retractions:
+and retractions.  It has no fixpoint loop of its own: the build, every
+insert, counting's deletion pass, DRed's over-deletion and its
+rederivation all run on the evaluator's semi-naive loop
+(:meth:`~repro.engine.seminaive.SemiNaiveEvaluator.fixpoint`), and
+differ only in what they track as deltas and what one derivation does:
 
-* **Inserts** propagate with the engine's own semi-naive discipline —
-  delta-first body variants (:func:`~repro.engine.seminaive.delta_first_order`)
-  over zero-copy generation windows, seeded from the mutation batch's
-  log windows, iterated to fixpoint.
+* **Build** is :meth:`SemiNaiveEvaluator.evaluate
+  <repro.engine.seminaive.SemiNaiveEvaluator.evaluate>` on the
+  closure's rules — the view *is* a fresh fixpoint.
+* **Inserts** seed the loop with the mutation batch's log windows;
+  new head rows grow the materialized relations.
 * **Retractions** on a *non-recursive* closure use counting: every
-  derivation found during the build incremented a per-tuple count, so a
+  derivation the build enumerated incremented a per-tuple count, so a
   deletion pass decrements exactly the derivations lost and a tuple
-  dies when its count reaches zero.  Derivations are enumerated with
-  the earlier-slots-new / later-slots-old window discipline, so a
-  derivation that lost several body tuples is still counted once.
+  dies when its count reaches zero.  The loop's earlier-slots-new /
+  later-slots-old discipline counts a derivation that lost several
+  body tuples once.
 * **Retractions** on a *recursive* closure run DRed: over-delete
   everything with a derivation through a deleted tuple (joins against
   the *old* state, reconstructed by overlaying the removed rows on the
@@ -35,22 +40,20 @@ chaos), :meth:`apply` marks the view dirty and reports the mutations it
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.depgraph import DependencyGraph
-from ..datalog.literals import Literal, Predicate
+from ..datalog.literals import Predicate
 from ..datalog.rules import Rule
 from ..datalog.unify import unify_sequences
 from ..engine.context import DISABLED, EvalContext
+from ..engine.counters import Counters
 from ..engine.database import Database, MutationBatch, RelationDelta
 from ..engine.joins import evaluate_body, order_body
 from ..engine.relation import OverlayRelation, Relation, Row
-from ..engine.seminaive import SemiNaiveEvaluator, delta_first_order, head_row
+from ..engine.seminaive import SemiNaiveEvaluator
 
 __all__ = ["ApplyResult", "Materialization"]
-
-#: Safety valve for the propagation loop, same order as the evaluator's.
-_MAX_ROUNDS = 100_000
 
 #: ``predicate -> {row: +1 | -1}`` — the net mutations one maintenance
 #: run made to the materialized relations.
@@ -88,11 +91,6 @@ class Materialization:
         #: Incremental maintenance applies (definite, non-functional)?
         self.supported = info.maintainable
         self.recursive = not self.idb.isdisjoint(graph.recursive)
-        #: Derived predicates of the closure, dependencies first (the
-        #: counting path's evaluation order; it runs only when acyclic).
-        self.order: List[Predicate] = [
-            p for component in graph.components for p in component if p in self.idb
-        ]
         #: Materialized relations, one per derived predicate of the closure.
         self.relations: Dict[Predicate, Relation] = {}
         #: Counting fast path state (non-recursive closures only):
@@ -107,7 +105,16 @@ class Materialization:
         self.maintenance_runs = 0
         self.rederivations = 0
         self.failures = 0
-        self._variant_orders: Dict[Tuple[int, int], List[Tuple[int, Literal]]] = {}
+        # The fixpoint loop maintenance runs on, and its variants of the
+        # closure's rules with every closure predicate tracked.  A rule
+        # without a positive body literal never sees a delta, so it
+        # never fires again after the build.
+        self._engine = SemiNaiveEvaluator(database, self.registry)
+        self._plan = [
+            entry
+            for entry in self._engine.variants(self.rules, self.closure)
+            if entry[2]
+        ]
         self._changes: Changes = {}
         self._run_rederived = 0
 
@@ -127,16 +134,21 @@ class Materialization:
 
     def _refresh(self, ctx: EvalContext) -> Changes:
         old = self.relations
+        counts = on_derive = None
         if self.supported and not self.recursive:
-            relations, counts = self._counting_build(ctx)
-        else:
-            result = SemiNaiveEvaluator(
-                self.database, self.registry, ctx=ctx
-            ).evaluate(self.subprogram)
-            relations = {
-                p: result.relation(p.name, p.arity) for p in self.idb
-            }
-            counts = None
+            counts = {p: {} for p in self.idb}
+
+            def on_derive(predicate: Predicate, row: Row) -> None:
+                tally = counts[predicate]
+                tally[row] = tally.get(row, 0) + 1
+
+            for predicate in self.idb:
+                for row in self.database.get(predicate) or ():
+                    on_derive(predicate, row)
+        result = SemiNaiveEvaluator(
+            self.database, self.registry, ctx=ctx
+        ).evaluate(self.subprogram, on_derive=on_derive)
+        relations = {p: result.relation(p.name, p.arity) for p in self.idb}
         changes: Changes = {}
         for predicate, relation in relations.items():
             before = old.get(predicate)
@@ -186,16 +198,13 @@ class Materialization:
                     for p, d in batch.deltas.items()
                     if p in self.closure and d.added
                 }
-                if self.counts is not None:
-                    if removed:
+                if removed:
+                    if self.counts is not None:
                         self._counting_delete(batch, removed)
-                    if added:
-                        self._counting_insert(added)
-                else:
-                    if removed:
+                    else:
                         self._dred_delete(batch, removed)
-                    if added:
-                        self._dred_insert(added)
+                if added:
+                    self._insert(added)
                 changes = self._prune(self._changes)
         except Exception:
             self.dirty = True
@@ -219,13 +228,43 @@ class Materialization:
             return relation
         return self.database.get(predicate)
 
-    def _variant(self, rule: Rule, slot: int) -> List[Tuple[int, Literal]]:
-        key = (id(rule), slot)
-        order = self._variant_orders.get(key)
-        if order is None:
-            order = delta_first_order(rule, slot, self.registry)
-            self._variant_orders[key] = order
-        return order
+    def _drive(self, logs, derive, views=None, lookup=None) -> None:
+        """One delta run of the fixpoint loop over the closure's rules."""
+        self._engine.fixpoint(
+            self._plan, logs, lookup or self._lookup, Counters(), derive, views
+        )
+
+    def _growth_logs(self) -> Dict[Predicate, Tuple[Relation, int]]:
+        """Every closure predicate's current relation as its delta log,
+        with an empty delta: what is appended from here on is new."""
+        logs = {}
+        for predicate in self.closure:
+            log = self._lookup(predicate)
+            if log is None:
+                log = Relation(predicate.name, predicate.arity)
+            logs[predicate] = (log, log.mark())
+        return logs
+
+    def _removal_logs(
+        self, removed: Dict[Predicate, RelationDelta]
+    ) -> Dict[Predicate, Tuple[Relation, int]]:
+        """Fresh delta logs for a deletion pass: the batch's removed
+        rows for stored predicates; derived ones fill as rows go."""
+        logs = {}
+        for predicate in self.closure:
+            log = Relation(predicate.name, predicate.arity)
+            if predicate not in self.idb and predicate in removed:
+                log.add_all(removed[predicate].removed)
+            logs[predicate] = (log, 0)
+        return logs
+
+    def _grow(self, predicate: Predicate, row: Row) -> None:
+        """One derivation (or direct assertion) of ``row`` gained."""
+        if self.counts is not None:
+            tally = self.counts[predicate]
+            tally[row] = tally.get(row, 0) + 1
+        if self.relations[predicate].add(row):
+            self._note(predicate, row, +1)
 
     def _note(self, predicate: Predicate, row: Row, sign: int) -> None:
         bucket = self._changes.setdefault(predicate, {})
@@ -240,95 +279,22 @@ class Materialization:
         return {p: rows for p, rows in changes.items() if rows}
 
     # ------------------------------------------------------------------
-    # Counting fast path (non-recursive closures)
+    # Inserts (both paths)
     # ------------------------------------------------------------------
-    def _counting_build(self, ctx: EvalContext):
-        relations: Dict[Predicate, Relation] = {}
-        counts: Dict[Predicate, Dict[Row, int]] = {}
-
-        def lookup(predicate: Predicate):
-            relation = relations.get(predicate)
-            if relation is not None:
-                return relation
-            return self.database.get(predicate)
-
-        for predicate in self.order:
-            relation = Relation(predicate.name, predicate.arity)
-            tally: Dict[Row, int] = {}
-            relations[predicate] = relation
-            counts[predicate] = tally
-            stored = self.database.get(predicate)
-            if stored is not None:
-                for row in stored:
-                    tally[row] = tally.get(row, 0) + 1
-                    relation.add(row)
-            for rule in self.graph.rules_for(predicate):
-                order = order_body(rule.body, self.registry)
-                for subst in evaluate_body(
-                    order, lookup, self.registry, {}, ctx=ctx
-                ):
-                    row = head_row(rule, subst)
-                    tally[row] = tally.get(row, 0) + 1
-                    relation.add(row)
-        return relations, counts
-
-    def _counting_insert(self, added: Dict[Predicate, RelationDelta]) -> None:
-        # delta: predicate -> (carrier, lo, hi); the carrier's [lo, hi)
-        # log window holds the new rows.
-        delta: Dict[Predicate, Tuple[Relation, int, int]] = {}
+    def _insert(self, added: Dict[Predicate, RelationDelta]) -> None:
+        logs = self._growth_logs()
         for predicate, d in added.items():
-            if predicate not in self.idb:
-                lo, hi = d.window
-                if hi > lo:
-                    delta[predicate] = (
-                        self.database.relations[predicate], lo, hi
-                    )
-        for predicate in self.order:
-            relation = self.relations[predicate]
-            tally = self.counts[predicate]
-            premark = relation.mark()
-            direct = added.get(predicate)
-            if direct is not None:
+            if predicate in self.idb:
                 # EDB facts asserted directly on a derived predicate.
-                for row in direct.added:
-                    tally[row] = tally.get(row, 0) + 1
-                    if relation.add(row):
-                        self._note(predicate, row, +1)
-            for rule in self.graph.rules_for(predicate):
-                self._apply_insert_variants(rule, delta, relation, tally)
-            if relation.mark() > premark:
-                delta[predicate] = (relation, premark, relation.mark())
+                for row in d.added:
+                    self._grow(predicate, row)
+            else:
+                logs[predicate] = (logs[predicate][0], d.window[0])
+        self._drive(logs, self._grow)
 
-    def _apply_insert_variants(self, rule, delta, relation, tally) -> None:
-        slots = [
-            i
-            for i, literal in enumerate(rule.body)
-            if not literal.negated and literal.predicate in delta
-        ]
-        predicate = rule.head.predicate
-        for j, slot in enumerate(slots):
-            overrides = {}
-            carrier, lo, hi = delta[rule.body[slot].predicate]
-            overrides[slot] = carrier.window(lo, hi)
-            for earlier in slots[:j]:
-                c, l, _ = delta[rule.body[earlier].predicate]
-                overrides[earlier] = c.window(0, l)
-            for later in slots[j + 1 :]:
-                c, _, h = delta[rule.body[later].predicate]
-                overrides[later] = c.window(0, h)
-            for subst in evaluate_body(
-                self._variant(rule, slot),
-                self._lookup,
-                self.registry,
-                {},
-                overrides=overrides,
-            ):
-                row = head_row(rule, subst)
-                if tally is not None:
-                    tally[row] = tally.get(row, 0) + 1
-                if relation.add(row):
-                    self._note(predicate, row, +1)
-
+    # ------------------------------------------------------------------
+    # Counting deletion (non-recursive closures)
+    # ------------------------------------------------------------------
     def _counting_delete(
         self,
         batch: MutationBatch,
@@ -338,7 +304,7 @@ class Materialization:
             p: d.window[0] for p, d in batch.deltas.items() if d.added
         }
 
-        def lookup(predicate: Predicate):
+        def current(predicate: Predicate):
             # The deletion pass evaluates against the post-delete,
             # *pre-insert* state: batch additions already sit in the
             # stored relations' logs, so window them out.
@@ -350,142 +316,40 @@ class Materialization:
                 return stored.window(0, add_lo[predicate])
             return stored
 
-        # views: predicate -> (removed-delta, old view, new view)
-        views: Dict[Predicate, Tuple[Relation, object, object]] = {}
+        def views(predicate: Predicate, delta):
+            # Rows whose count reached zero leave the view as they
+            # become the delta — not while the round that killed them
+            # still reads it — so earlier slots read the view without
+            # the delta and later slots the view with it.
+            view = current(predicate)
+            if delta is None:
+                return view, view
+            if predicate in self.idb:
+                for row in delta:
+                    if view.discard(row):
+                        self._note(predicate, row, -1)
+            return view, OverlayRelation(view, delta)
+
+        logs = self._removal_logs(removed)
+
+        def lose(predicate: Predicate, row: Row) -> None:
+            tally = self.counts[predicate]
+            count = tally[row]
+            if count > 1:
+                tally[row] = count - 1
+            else:
+                del tally[row]
+                logs[predicate][0].add(row)
+
         for predicate, d in removed.items():
             if predicate in self.idb:
-                continue  # folded in when the predicate is processed
-            temp = Relation(predicate.name, predicate.arity)
-            for row in d.removed:
-                temp.add(row)
-            new_view = lookup(predicate)
-            views[predicate] = (temp, OverlayRelation(new_view, temp), new_view)
-        for predicate in self.order:
-            relation = self.relations[predicate]
-            tally = self.counts[predicate]
-            temp = Relation(predicate.name, predicate.arity)
-            direct = removed.get(predicate)
-            if direct is not None:
-                for row in direct.removed:
-                    self._decrement(predicate, relation, tally, row, temp)
-            for rule in self.graph.rules_for(predicate):
-                slots = [
-                    i
-                    for i, literal in enumerate(rule.body)
-                    if not literal.negated and literal.predicate in views
-                ]
-                for j, slot in enumerate(slots):
-                    overrides = {slot: views[rule.body[slot].predicate][0]}
-                    for earlier in slots[:j]:
-                        overrides[earlier] = views[
-                            rule.body[earlier].predicate
-                        ][2]
-                    for later in slots[j + 1 :]:
-                        overrides[later] = views[rule.body[later].predicate][1]
-                    for subst in evaluate_body(
-                        self._variant(rule, slot),
-                        lookup,
-                        self.registry,
-                        {},
-                        overrides=overrides,
-                    ):
-                        row = head_row(rule, subst)
-                        self._decrement(predicate, relation, tally, row, temp)
-            if len(temp):
-                views[predicate] = (temp, OverlayRelation(relation, temp), relation)
-
-    def _decrement(self, predicate, relation, tally, row, temp) -> None:
-        count = tally.get(row)
-        if count is None:  # pragma: no cover - counts track derivations exactly
-            return
-        if count <= 1:
-            del tally[row]
-            if relation.discard(row):
-                self._note(predicate, row, -1)
-            temp.add(row)
-        else:
-            tally[row] = count - 1
+                for row in d.removed:
+                    lose(predicate, row)
+        self._drive(logs, lose, views, current)
 
     # ------------------------------------------------------------------
-    # DRed (recursive closures)
+    # DRed deletion (recursive closures)
     # ------------------------------------------------------------------
-    def _dred_insert(self, added: Dict[Predicate, RelationDelta]) -> None:
-        delta: Dict[Predicate, Tuple[Relation, int, int]] = {}
-        for predicate, d in added.items():
-            if predicate in self.idb:
-                relation = self.relations[predicate]
-                premark = relation.mark()
-                for row in d.added:
-                    if relation.add(row):
-                        self._note(predicate, row, +1)
-                if relation.mark() > premark:
-                    delta[predicate] = (relation, premark, relation.mark())
-            else:
-                lo, hi = d.window
-                if hi > lo:
-                    delta[predicate] = (
-                        self.database.relations[predicate], lo, hi
-                    )
-        self._propagate(delta)
-
-    def _propagate(
-        self,
-        delta: Dict[Predicate, Tuple[Relation, int, int]],
-        deleted: Optional[Dict[Predicate, Relation]] = None,
-    ) -> None:
-        """Semi-naive insert rounds until no materialized relation grows.
-
-        ``deleted`` (DRed rederivation) marks rows whose re-addition
-        counts as a rederivation rather than a fresh derivation.
-        """
-        rounds = 0
-        while delta:
-            rounds += 1
-            if rounds > _MAX_ROUNDS:  # pragma: no cover - safety valve
-                raise RuntimeError("view maintenance failed to converge")
-            round_base = {p: self.relations[p].mark() for p in self.idb}
-            for rule in self.rules:
-                slots = [
-                    i
-                    for i, literal in enumerate(rule.body)
-                    if not literal.negated and literal.predicate in delta
-                ]
-                if not slots:
-                    continue
-                predicate = rule.head.predicate
-                target = self.relations[predicate]
-                for j, slot in enumerate(slots):
-                    overrides = {}
-                    carrier, lo, hi = delta[rule.body[slot].predicate]
-                    overrides[slot] = carrier.window(lo, hi)
-                    for earlier in slots[:j]:
-                        c, l, _ = delta[rule.body[earlier].predicate]
-                        overrides[earlier] = c.window(0, l)
-                    for later in slots[j + 1 :]:
-                        c, _, h = delta[rule.body[later].predicate]
-                        overrides[later] = c.window(0, h)
-                    for subst in evaluate_body(
-                        self._variant(rule, slot),
-                        self._lookup,
-                        self.registry,
-                        {},
-                        overrides=overrides,
-                    ):
-                        row = head_row(rule, subst)
-                        if target.add(row):
-                            self._note(predicate, row, +1)
-                            if deleted is not None and row in deleted.get(
-                                predicate, ()
-                            ):
-                                self._run_rederived += 1
-            delta = {}
-            for predicate in self.idb:
-                relation = self.relations[predicate]
-                if relation.mark() > round_base[predicate]:
-                    delta[predicate] = (
-                        relation, round_base[predicate], relation.mark()
-                    )
-
     def _dred_delete(
         self,
         batch: MutationBatch,
@@ -494,14 +358,9 @@ class Materialization:
         add_lo = {
             p: d.window[0] for p, d in batch.deltas.items() if d.added
         }
-        removed_rel: Dict[Predicate, Relation] = {}
-        for predicate, d in removed.items():
-            temp = Relation(predicate.name, predicate.arity)
-            for row in d.removed:
-                temp.add(row)
-            removed_rel[predicate] = temp
+        logs = self._removal_logs(removed)
 
-        def old_lookup(predicate: Predicate):
+        def old(predicate: Predicate):
             # Phase 1 joins run against the pre-batch state.  The
             # materialized relations still hold it (nothing discarded
             # yet); stored relations need the batch's additions windowed
@@ -515,61 +374,29 @@ class Materialization:
             base = stored
             if predicate in add_lo:
                 base = stored.window(0, add_lo[predicate])
-            overlay = removed_rel.get(predicate)
-            if overlay is not None:
-                base = OverlayRelation(base, overlay)
+            if predicate in removed:
+                base = OverlayRelation(base, logs[predicate][0])
             return base
 
+        def views(predicate: Predicate, delta):
+            view = old(predicate)
+            return view, view
+
         # Phase 1: over-delete — everything with a derivation through a
-        # removed tuple, transitively.
-        deleted: Dict[Predicate, Relation] = {
-            p: Relation(p.name, p.arity) for p in self.idb
-        }
-        frontier: Dict[Predicate, Relation] = {}
-        for predicate, temp in removed_rel.items():
+        # removed tuple, transitively.  The derived predicates' logs
+        # collect the over-deleted rows, so each round's delta is what
+        # the round before newly over-deleted.
+        deleted = {p: logs[p][0] for p in self.idb}
+
+        def drop(predicate: Predicate, row: Row) -> None:
+            deleted[predicate].add(row)
+
+        for predicate, d in removed.items():
             if predicate in self.idb:
-                relation = self.relations[predicate]
-                seed = Relation(predicate.name, predicate.arity)
-                for row in temp:
-                    if row in relation and seed.add(row):
-                        deleted[predicate].add(row)
-                if len(seed):
-                    frontier[predicate] = seed
-            else:
-                frontier[predicate] = temp
-        rounds = 0
-        while frontier:
-            rounds += 1
-            if rounds > _MAX_ROUNDS:  # pragma: no cover - safety valve
-                raise RuntimeError("over-deletion failed to converge")
-            next_frontier: Dict[Predicate, Relation] = {}
-            for rule in self.rules:
-                slots = [
-                    i
-                    for i, literal in enumerate(rule.body)
-                    if not literal.negated and literal.predicate in frontier
-                ]
-                predicate = rule.head.predicate
-                for slot in slots:
-                    overrides = {slot: frontier[rule.body[slot].predicate]}
-                    for subst in evaluate_body(
-                        self._variant(rule, slot),
-                        old_lookup,
-                        self.registry,
-                        {},
-                        overrides=overrides,
-                    ):
-                        row = head_row(rule, subst)
-                        if row in deleted[predicate]:
-                            continue
-                        deleted[predicate].add(row)
-                        bucket = next_frontier.get(predicate)
-                        if bucket is None:
-                            bucket = next_frontier[predicate] = Relation(
-                                predicate.name, predicate.arity
-                            )
-                        bucket.add(row)
-            frontier = next_frontier
+                for row in d.removed:
+                    if row in self.relations[predicate]:
+                        drop(predicate, row)
+        self._drive(logs, drop, views, old)
 
         # Phase 2: physically discard the over-deleted rows.
         for predicate, rows in deleted.items():
@@ -582,24 +409,18 @@ class Materialization:
         # have a derivation from the remaining state (or are themselves
         # surviving EDB facts), then propagate them as inserts so
         # anything downstream of a survivor comes back too.
-        delta: Dict[Predicate, Tuple[Relation, int, int]] = {}
+        logs = self._growth_logs()
         for predicate, rows in deleted.items():
-            if not len(rows):
-                continue
-            relation = self.relations[predicate]
-            premark = relation.mark()
             stored = self.database.get(predicate)
             for row in rows:
-                supported = stored is not None and row in stored
-                if not supported:
-                    supported = self._has_derivation(predicate, row)
-                if supported and relation.add(row):
-                    self._note(predicate, row, +1)
-                    self._run_rederived += 1
-            if relation.mark() > premark:
-                delta[predicate] = (relation, premark, relation.mark())
-        if delta:
-            self._propagate(delta, deleted=deleted)
+                if (stored is not None and row in stored) or self._has_derivation(
+                    predicate, row
+                ):
+                    self._grow(predicate, row)
+        self._drive(logs, self._grow)
+        self._run_rederived += sum(
+            row in self.relations[p] for p, rows in deleted.items() for row in rows
+        )
 
     def _has_derivation(self, predicate: Predicate, row: Row) -> bool:
         for rule in self.graph.rules_for(predicate):

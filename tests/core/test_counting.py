@@ -159,3 +159,34 @@ class TestThreeChainCounting:
         db, _, _ = self.setup_db()
         plan = Planner(db).plan("trio(a0, Y, Z)")
         assert plan.strategy == Strategy.COUNTING
+
+
+class TestStoredExitFacts:
+    """A stored fact of the recursive predicate is an exit row, as it
+    is for buffered and partial chain-split evaluation: counting used
+    to answer ``sg(c, Y)`` without ``(c, zz)``."""
+
+    SOURCE = """
+    sg(X, Y) :- flat(X, Y).
+    sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).
+    sg(c, zz).
+    flat(c, c2). flat(b, e).
+    up(a, c). down(c2, d). down(zz, w).
+    """
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("sg(c, Y)", {("c", "c2"), ("c", "zz")}),
+            ("sg(a, Y)", {("a", "d"), ("a", "w")}),
+        ],
+    )
+    def test_counting_matches_the_fixpoint(self, query, expected):
+        from repro.core.planner import Planner, Strategy
+        from repro.testing import assert_strategies_agree
+
+        db = Database()
+        db.load_source(self.SOURCE)
+        assert Planner(db).plan(query).strategy == Strategy.COUNTING
+        answers = assert_strategies_agree(db, query)
+        assert {tuple(v.value for v in row) for row in answers} == expected

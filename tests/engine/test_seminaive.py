@@ -1,5 +1,8 @@
 """Unit tests for bottom-up evaluation (naive + semi-naive) and joins."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.datalog.literals import Literal, Predicate
@@ -244,6 +247,53 @@ class TestDeltaDiscipline:
         semi = SemiNaiveEvaluator(db).evaluate()
         naive = NaiveEvaluator(db).evaluate()
         assert semi.relation("t", 2) == naive.relation("t", 2)
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+class TestOneFixpointLoop:
+    """Evaluation and incremental view maintenance share the one
+    semi-naive fixpoint loop in ``engine/seminaive.py`` instead of copying its
+    delta discipline."""
+
+    def test_only_the_fixpoint_loop_builds_variant_overrides(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.relative_to(SRC).as_posix() == "engine/seminaive.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and any(
+                    keyword.arg == "overrides" for keyword in node.keywords
+                ):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert not offenders, offenders
+
+    def test_views_have_no_fixpoint_loop_of_their_own(self):
+        tree = ast.parse((SRC / "ivm" / "view.py").read_text())
+        loops = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.While)]
+        assert not loops, loops
+        called = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "fixpoint" in called
+
+    def test_delta_first_order_stays_in_the_engine(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent.name == "engine":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                if any("delta_first_order" in name for name in names):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert not offenders, offenders
 
 
 class TestStreamingPipeline:

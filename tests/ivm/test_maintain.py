@@ -1,34 +1,21 @@
 """Incremental maintenance: maintained state ≡ from-scratch fixpoint.
 
 Every scenario mutates the database through the public API (so the
-ViewManager's listener fires) and then compares each maintained
-relation against a fresh :class:`SemiNaiveEvaluator` run over the same
-database.
+ViewManager's listener fires) and then checks the maintained state
+with :func:`repro.testing.assert_views_match_fixpoint`: every
+maintained relation against a fresh semi-naive run over the same
+database, and a counting view's support counts against a recount.
 """
 
 from repro.datalog.literals import Predicate
 from repro.engine.database import Database
-from repro.engine.seminaive import SemiNaiveEvaluator
 from repro.ivm import ViewManager
+from repro.testing import assert_views_match_fixpoint
 from repro.workloads import ANCESTOR, SCSG, SG
 from repro.workloads.family import FamilyConfig, family_database
 
 SG_PRED = Predicate("sg", 2)
 ANC = Predicate("ancestor", 2)
-
-
-def fresh_extension(db: Database, predicate: Predicate):
-    result = SemiNaiveEvaluator(db).evaluate()
-    return set(result.relation(predicate.name, predicate.arity))
-
-
-def assert_consistent(manager: ViewManager, db: Database):
-    for predicate, fix in manager.fixpoints.items():
-        assert fix.relations, f"no relations materialized for {predicate}"
-        for idb_pred, relation in fix.relations.items():
-            assert set(relation) == fresh_extension(db, idb_pred), (
-                f"{idb_pred} diverged after maintenance"
-            )
 
 
 def family_db(program: str) -> Database:
@@ -46,7 +33,7 @@ class TestInsertMaintenance:
         people = [row for row in db.relation("parent", 2)]
         for parent_row in people[:4]:
             db.add_fact("parent", ("newcomer", parent_row[1]))
-            assert_consistent(manager, db)
+            assert_views_match_fixpoint(manager, db)
 
     def test_ancestor_chain_extension(self):
         db = Database()
@@ -54,7 +41,7 @@ class TestInsertMaintenance:
         manager = ViewManager(db)
         manager.relations_for_query(ANC)
         db.add_fact("parent", ("c", "d"))
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
         fix = manager.fixpoints[ANC]
         assert ("a", "d") in {
             tuple(str(v) for v in row) for row in fix.relations[ANC]
@@ -68,7 +55,7 @@ class TestInsertMaintenance:
         runs = manager.fixpoints[ANC].maintenance_runs
         db.add_fact("parent", ("a", "b"))  # already stored
         assert manager.fixpoints[ANC].maintenance_runs == runs
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
 
     def test_disjoint_mutation_skips_maintenance(self):
         db = Database()
@@ -94,9 +81,9 @@ class TestRetractMaintenance:
         assert fix.counts is not None  # non-recursive → counting
         # (a,z) has one derivation, removing left(b,m) keeps it.
         db.retract_fact("left", ("b", "m"))
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
         db.retract_fact("left", ("a", "m"))
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
         assert not set(fix.relations[joined])
 
     def test_count_survival_across_rules(self):
@@ -111,7 +98,7 @@ class TestRetractMaintenance:
         db.retract_fact("here", ("v",))
         # Still derivable through the second rule.
         assert set(manager.fixpoints[both].relations[both])
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
 
     def test_dred_overdelete_and_rederive(self):
         db = Database()
@@ -126,7 +113,7 @@ class TestRetractMaintenance:
         # (1,3) is over-deleted via the chain 1→2→3 but survives via
         # the direct edge parent(1,3); DRed must rederive it.
         assert db.retract_fact("parent", (1, 2))
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
         assert fix.rederivations > 0
 
     def test_sg_retractions(self):
@@ -136,7 +123,7 @@ class TestRetractMaintenance:
         victims = list(db.relation("parent", 2))[:3]
         for row in victims:
             db.retract_fact("parent", tuple(row))
-            assert_consistent(manager, db)
+            assert_views_match_fixpoint(manager, db)
 
     def test_scsg_retractions(self):
         db = family_db(SCSG)
@@ -145,7 +132,7 @@ class TestRetractMaintenance:
         manager.relations_for_query(scsg)
         for row in list(db.relation("same_country", 2))[:3]:
             db.retract_fact("same_country", tuple(row))
-            assert_consistent(manager, db)
+            assert_views_match_fixpoint(manager, db)
 
 
 class TestBatches:
@@ -161,7 +148,7 @@ class TestBatches:
                 ("add", "parent", ("d", "e")),
             ]
         )
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
 
     def test_add_then_retract_same_row_cancels(self):
         db = Database()
@@ -175,7 +162,7 @@ class TestBatches:
             ]
         )
         assert not batch.deltas  # net no-op
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
 
     def test_batch_report_carries_derived_deltas(self):
         db = Database()
@@ -216,7 +203,7 @@ class TestNegationFallback:
         adds, dels = report.derived[lonely]
         assert [tuple(str(v) for v in row) for row in dels] == [("b",)]
         assert not adds
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)
 
 
 class TestProgramChanges:
@@ -231,4 +218,4 @@ class TestProgramChanges:
         db.add_fact("shortcut", ("x", "y"))
         # The staleness guard must rebuild before classifying/applying.
         assert manager.relations_for_query(ANC) is not None
-        assert_consistent(manager, db)
+        assert_views_match_fixpoint(manager, db)

@@ -1,10 +1,14 @@
 """Property tests: IVM state ≡ from-scratch fixpoint, always.
 
 Hypothesis drives randomized interleavings of inserts, retractions and
-mixed batches over the paper's workloads; after every mutation the
-maintained relations must equal a fresh semi-naive evaluation of the
-same database, and a session answering from views must agree with a
-cold planner.
+mixed batches over the paper's workloads and two shapes that stress
+the delta discipline — nonlinear recursion (DRed with two derived
+slots in one body) and a two-slot join whose batches add or retract
+both rows of one derivation (exact counting tallies).  After every
+mutation the maintained relations must equal a fresh semi-naive
+evaluation of the same database
+(:func:`repro.testing.assert_views_match_fixpoint`), and a session
+answering from views must agree with a cold planner.
 """
 
 import hypothesis.strategies as st
@@ -12,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.datalog.literals import Predicate
 from repro.engine.database import Database
-from repro.engine.seminaive import SemiNaiveEvaluator
 from repro.ivm import ViewManager
 from repro.service.session import QuerySession
+from repro.testing import assert_views_match_fixpoint
 from repro.workloads import ANCESTOR, SCSG, SG
 
 NODES = [f"n{i}" for i in range(6)]
@@ -49,17 +53,6 @@ def seeded(source: str, edb_names, seed_pairs) -> Database:
     return db
 
 
-def fresh(db: Database, predicate: Predicate):
-    result = SemiNaiveEvaluator(db).evaluate()
-    return set(result.relation(predicate.name, predicate.arity))
-
-
-def check_all(manager: ViewManager, db: Database):
-    for fix in manager.fixpoints.values():
-        for idb_pred, relation in fix.relations.items():
-            assert set(relation) == fresh(db, idb_pred)
-
-
 class TestInterleavings:
     @slow
     @given(ops_over(["parent"]), st.lists(pair, max_size=6))
@@ -72,7 +65,7 @@ class TestInterleavings:
                 db.add_fact(name, row)
             else:
                 db.retract_fact(name, row)
-            check_all(manager, db)
+            assert_views_match_fixpoint(manager, db)
 
     @slow
     @given(ops_over(["parent", "sibling"]), st.lists(pair, max_size=5))
@@ -85,7 +78,7 @@ class TestInterleavings:
                 db.add_fact(name, row)
             else:
                 db.retract_fact(name, row)
-            check_all(manager, db)
+            assert_views_match_fixpoint(manager, db)
 
     @slow
     @given(
@@ -101,7 +94,7 @@ class TestInterleavings:
                 db.add_fact(name, row)
             else:
                 db.retract_fact(name, row)
-            check_all(manager, db)
+            assert_views_match_fixpoint(manager, db)
 
     @slow
     @given(
@@ -116,7 +109,60 @@ class TestInterleavings:
         manager.relations_for_query(Predicate("ancestor", 2))
         for start in range(0, len(ops), chunk):
             db.apply_batch(ops[start:start + chunk])
-            check_all(manager, db)
+            assert_views_match_fixpoint(manager, db)
+
+
+class TestDeltaDisciplineShapes:
+    NONLINEAR = (
+        "path(X, Y) :- edge(X, Y).\n"
+        "path(X, Y) :- path(X, Z), path(Z, Y).\n"
+    )
+    HOP = "hop(X, Z) :- edge(X, Y), edge(Y, Z).\n"
+
+    @slow
+    @given(
+        ops_over(["edge"]),
+        st.lists(pair, max_size=6),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_nonlinear_path(self, ops, seed_pairs, chunk):
+        db = seeded(self.NONLINEAR, ["edge"], seed_pairs)
+        manager = ViewManager(db)
+        manager.relations_for_query(Predicate("path", 2))
+        assert manager.fixpoints[Predicate("path", 2)].counts is None  # DRed
+        for start in range(0, len(ops), chunk):
+            db.apply_batch(ops[start:start + chunk])
+            assert_views_match_fixpoint(manager, db)
+
+    @slow
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "retract"]),
+                st.tuples(*[st.sampled_from(NODES)] * 3),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(["add", "retract"]), st.just("edge"), pair
+                    ),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(pair, max_size=6),
+    )
+    def test_two_slot_join_whole_derivations(self, batches, seed_pairs):
+        """Each batch adds or retracts both rows of one derivation
+        ``edge(X, Y), edge(Y, Z)``, mixed with unrelated mutations."""
+        db = seeded(self.HOP, ["edge"], seed_pairs)
+        manager = ViewManager(db)
+        manager.relations_for_query(Predicate("hop", 2))
+        assert manager.fixpoints[Predicate("hop", 2)].counts is not None
+        for op, (x, y, z), others in batches:
+            # Last write wins in a batch: the derivation's rows go last.
+            db.apply_batch(others + [(op, "edge", (x, y)), (op, "edge", (y, z))])
+            assert_views_match_fixpoint(manager, db)
 
 
 class TestNegationInterleavings:
@@ -137,7 +183,7 @@ class TestNegationInterleavings:
                 db.add_fact(name, row)
             else:
                 db.retract_fact(name, row)
-            check_all(manager, db)
+            assert_views_match_fixpoint(manager, db)
 
 
 class TestSessionEquivalence:
