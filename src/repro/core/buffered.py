@@ -14,7 +14,10 @@ in two sweeps:
 "The algorithm is similar to counting except that the values of
 variable ``X_i``'s are buffered in the processing of the being
 evaluated portion of a chain generating path and reused in the
-processing of its buffered portion" (Remark 3.1).
+processing of its buffered portion" (Remark 3.1).  So the descent, its
+depth guard and the exit rows are counting's, shared through
+:class:`~repro.core.chain.ChainEvaluator`; a frontier node here is a
+memoized call, and each spawning solution buffers the ``X_i``.
 
 The implementation is set-oriented and memoizing: identical recursive
 calls are shared (one node per distinct call-argument tuple), so on
@@ -26,26 +29,20 @@ graphs for function-free recursions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..datalog.literals import Literal, Predicate
-from ..datalog.rules import Rule
+from ..datalog.literals import Literal
 from ..datalog.terms import Term, Var, is_ground
-from ..datalog.unify import (
-    Substitution,
-    apply_substitution,
-    unify,
-    unify_sequences,
-)
-from ..engine.builtins import BuiltinRegistry, default_registry
+from ..datalog.unify import Substitution, apply_substitution, unify_sequences
+from ..engine.builtins import BuiltinRegistry
 from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.joins import evaluate_body, order_body
 from ..engine.relation import Relation
-from ..analysis.chains import ChainPath, CompiledRecursion
+from ..analysis.chains import CompiledRecursion
 from ..analysis.finiteness import PathSplit, split_path
-from .counting import exit_rows
+from .chain import ChainEvaluator
 
 __all__ = ["BufferedChainEvaluator", "BufferedEvaluationError"]
 
@@ -70,7 +67,7 @@ class _CallNode:
     )
 
 
-class BufferedChainEvaluator:
+class BufferedChainEvaluator(ChainEvaluator):
     """Algorithm 3.2 over a compiled single-chain recursion.
 
     Parameters mirror :class:`~repro.core.counting.CountingEvaluator`;
@@ -78,6 +75,10 @@ class BufferedChainEvaluator:
     :func:`~repro.analysis.finiteness.split_path` but can be injected
     (e.g. an efficiency-based split from the cost model).
     """
+
+    error = BufferedEvaluationError
+    method = "buffered evaluation"
+    span = "buffered_chain"
 
     def __init__(
         self,
@@ -91,10 +92,7 @@ class BufferedChainEvaluator:
         idb_finite=None,
         ctx: EvalContext = DISABLED,
     ):
-        self.database = database
-        self.compiled = compiled
-        self.registry = registry if registry is not None else default_registry()
-        self.max_depth = max_depth
+        super().__init__(database, compiled, registry, max_depth, ctx)
         # memoize=False disables call sharing (each expansion gets a
         # private node) — the ablation showing why the memoized call
         # graph matters on DAG data and cyclic data.
@@ -104,42 +102,10 @@ class BufferedChainEvaluator:
         # their finite evaluability is judged by `idb_finite`.
         self.idb_solver = idb_solver
         self.idb_finite = idb_finite
-        # Tracer: one chain_down event per down-phase level, one
-        # chain_up event for the whole up phase; profiler: stage spans
-        # per down level, for the exit phase and for the up phase;
-        # budget: checked per descent level, per buffered result row,
-        # and per streamed substitution.
-        self.ctx = ctx
         self._injected_split = split
-        chains = compiled.generating_chains()
-        if len(chains) != 1:
-            raise BufferedEvaluationError(
-                f"buffered evaluation requires a single-chain recursion; "
-                f"{compiled.predicate} has {len(chains)} generating chains"
-            )
-        self.chain = chains[0]
-        if not all(isinstance(a, Var) for a in compiled.head_args):
-            raise BufferedEvaluationError(
-                "buffered evaluation requires a rectified recursion"
-            )
 
     # ------------------------------------------------------------------
-    def evaluate(self, query: Literal) -> Tuple[Relation, Counters]:
-        """Answers as a relation over the query arguments + counters."""
-        if query.predicate != self.compiled.predicate:
-            raise BufferedEvaluationError(
-                f"query {query} is not on {self.compiled.predicate}"
-            )
-        counters = Counters()
-        run_span = self.ctx.begin("evaluate", "buffered_chain")
-        try:
-            return self._evaluate(query, counters)
-        finally:
-            self.ctx.end(run_span, derived=counters.derived_tuples)
-
-    def _evaluate(
-        self, query: Literal, counters: Counters
-    ) -> Tuple[Relation, Counters]:
+    def _run(self, query: Literal, counters: Counters) -> Relation:
         ctx = self.ctx
         # The split + body ordering is planning-grade work; give it
         # its own stage rather than container self time.
@@ -156,23 +122,11 @@ class BufferedChainEvaluator:
 
         split = self._injected_split
         if split is None:
-            if self.idb_finite is not None:
-                split = split_path(
-                    self.chain,
-                    entry_bound,
-                    rec_literal,
-                    self.registry,
-                    self.database,
-                    idb_finite=self.idb_finite,
-                )
-            else:
-                split = split_path(
-                    self.chain,
-                    entry_bound,
-                    rec_literal,
-                    self.registry,
-                    self.database,
-                )
+            extra = {} if self.idb_finite is None else {"idb_finite": self.idb_finite}
+            split = split_path(
+                self.chains[0], entry_bound, rec_literal, self.registry,
+                self.database, **extra,
+            )
         evaluable_order = order_body(
             split.evaluable, self.registry, initially_bound=entry_bound
         )
@@ -187,40 +141,17 @@ class BufferedChainEvaluator:
         # Variables the delayed portion needs from the down phase.
         buffered_names = set(split.buffered_vars)
 
-        # ---- down phase -----------------------------------------------
+        # ---- down phase: one memoized call node per distinct call ------
         root_bindings = {
             head_args[p].name: query.args[p] for p in bound_positions
         }
         root = _CallNode(self._call_key(root_bindings), root_bindings)
         calls: Dict[Tuple[object, ...], _CallNode] = {root.key: root}
-        frontier: List[_CallNode] = [root]
-        entry_names = sorted(entry_bound)
-        depth = 0
-        ctx.end(setup_span)
-        while frontier:
-            depth += 1
-            if depth > self.max_depth:
-                raise BufferedEvaluationError(
-                    f"down phase exceeded max depth {self.max_depth}"
-                )
-            ctx.check_round(depth, counters)
-            next_frontier: List[_CallNode] = []
-            level_span = ctx.begin("stage", f"chain_down L{depth}")
-            # One aggregated stage-count vector per level: the frontier
-            # nodes all evaluate the same ordered body.
-            level_counts = ctx.stage_counts(len(evaluable_order))
+
+        def expand(frontier, solve):
+            spawned: List[_CallNode] = []
             for node in frontier:
-                seed: Substitution = dict(node.bindings)
-                for solution in evaluate_body(
-                    evaluable_order,
-                    lookup,
-                    self.registry,
-                    seed,
-                    counters,
-                    idb_solver=self.idb_solver,
-                    stage_counts=level_counts,
-                    ctx=ctx,
-                ):
+                for solution in solve(dict(node.bindings)):
                     child_bindings: Dict[str, Term] = {}
                     for p, rec_arg in enumerate(rec_args):
                         value = apply_substitution(rec_arg, solution)
@@ -239,31 +170,21 @@ class BufferedChainEvaluator:
                     if child is None:
                         child = _CallNode(child_key, child_bindings)
                         calls[child_key] = child
-                        next_frontier.append(child)
+                        spawned.append(child)
                     child.parents.append((node.key, {**solution, **buffered}))
-            ctx.end(
-                level_span, seeds=len(frontier), spawned=len(next_frontier)
-            )
-            ctx.tracer.body_evaluated(
-                "chain_down",
-                evaluable_order,
-                level_counts,
-                seeds=len(frontier),
-                initially_bound=entry_names,
-                depth=depth,
-                spawned=len(next_frontier),
-            )
-            frontier = next_frontier
+            return spawned
+
+        ctx.end(setup_span)
+        self.descend(
+            "chain_down", evaluable_order, sorted(entry_bound), [root], expand,
+            counters,
+        )
 
         # ---- exit phase -------------------------------------------------
         exit_span = ctx.begin("stage", "chain_exit")
         changed: List[_CallNode] = []
         for node in calls.values():
-            for row in exit_rows(
-                self.compiled, self.database, self.registry, node.bindings,
-                counters, ctx, self.idb_solver,
-            ):
-                node.results.add(row)
+            node.results.update(self.exit_rows(node.bindings, counters))
             if node.results:
                 changed.append(node)
         ctx.end(exit_span, calls=len(calls), with_exit_rows=len(changed))
@@ -288,11 +209,7 @@ class BufferedChainEvaluator:
                 processed_pairs.add(marker)
                 for parent_key, parent_solution in node.parents:
                     parent = calls[parent_key]
-                    resumed: Optional[Substitution] = dict(parent_solution)
-                    for rec_arg, value in zip(rec_args, result_row):
-                        resumed = unify(rec_arg, value, resumed)
-                        if resumed is None:
-                            break
+                    resumed = unify_sequences(rec_args, result_row, parent_solution)
                     if resumed is None:
                         continue
                     resumed_calls += 1
@@ -337,7 +254,7 @@ class BufferedChainEvaluator:
         for row in root.results:
             if unify_sequences(query.args, row) is not None:
                 answers.add(row)
-        return answers, counters
+        return answers
 
     # ------------------------------------------------------------------
     @staticmethod

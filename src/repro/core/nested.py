@@ -9,7 +9,7 @@ nested linear recursions."
 This evaluator composes :class:`~repro.core.buffered.BufferedChainEvaluator`s:
 the outer recursion runs buffered chain-split evaluation, and every
 inner-recursion literal in its chain path is solved by a recursively
-constructed evaluator (memoized per ground call), through the
+constructed evaluator (memoized per call pattern), through the
 ``idb_solver`` hook of the join machinery.
 
 Finite evaluability of an inner call is judged per the adornment
@@ -22,10 +22,10 @@ bound data rather than enumerating an infinite relation.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from ..datalog.literals import Literal, Predicate
-from ..datalog.terms import Term, Var, is_ground
+from ..datalog.terms import Var, call_pattern
 from ..datalog.unify import Substitution, apply_substitution, unify_sequences
 from ..engine.builtins import BuiltinRegistry, default_registry
 from ..engine.context import DISABLED, EvalContext
@@ -38,12 +38,8 @@ from ..analysis.chains import (
     RecursionClass,
     classify_recursion,
 )
-from ..analysis.finiteness import (
-    NotFinitelyEvaluableError,
-    bound_positions,
-    split_path,
-)
-from .buffered import BufferedChainEvaluator, BufferedEvaluationError
+from ..analysis.finiteness import NotFinitelyEvaluableError, split_path
+from .buffered import BufferedChainEvaluator
 
 __all__ = ["NestedChainEvaluator", "NestedEvaluationError"]
 
@@ -122,14 +118,9 @@ class NestedChainEvaluator:
 
     def _evaluate_call(self, query: Literal) -> Relation:
         """Evaluate one (possibly nested) recursive call, memoized on
-        the ground portion of its arguments."""
-        key = (
-            query.predicate,
-            tuple(
-                arg if is_ground(arg) else ("?", position)
-                for position, arg in enumerate(query.args)
-            ),
-        )
+        its call pattern: ``r(y, W, W)`` and ``r(y, V, U)`` answer
+        differently and get separate entries."""
+        key = (query.predicate, call_pattern(query.args)[0])
         cached = self._call_cache.get(key)
         if cached is not None:
             return cached

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..datalog.literals import Literal, Predicate
 from ..datalog.parser import parse_query
 from ..datalog.terms import Struct, Term, Var, is_ground
-from ..datalog.unify import Substitution, apply_substitution, unify_sequences
+from ..datalog.unify import apply_substitution, unify_sequences
 from ..engine.builtins import BuiltinRegistry, default_registry
 from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
@@ -57,7 +57,7 @@ from .counting import CountingError, CountingEvaluator
 from .magic import MagicSetsEvaluator
 from .nested import NestedChainEvaluator, NestedEvaluationError
 from .partial import PartialChainEvaluator, PartialEvaluationError
-from .pushing import detect_accumulators, push_constraints
+from .pushing import constraints_hold, fold_accumulators, push_constraints
 from .split import ChainSplitDecision, decide_split
 
 __all__ = [
@@ -448,14 +448,9 @@ class Planner:
                     compiled,
                     decision,
                 )
-            accumulators = detect_accumulators(compiled, decision.split)
-            non_acc = [
-                lit
-                for lit in decision.split.delayed
-                if all(lit is not acc.literal for acc in accumulators)
-            ]
+            accumulators, unfoldable = fold_accumulators(compiled, decision.split)
             pushed, _ = push_constraints(constraints, query, accumulators)
-            if not non_acc and (pushed or accumulators):
+            if not unfoldable and (pushed or accumulators):
                 return QueryPlan(
                     query,
                     constraints,
@@ -659,20 +654,10 @@ class Planner:
             return answers
         filtered = Relation(answers.name, answers.arity)
         for row in answers:
-            binding: Substitution = {}
-            ok = unify_sequences(plan.query.args, row, binding)
-            if ok is None:
+            binding = unify_sequences(plan.query.args, row)
+            if binding is None:
                 continue
-            satisfied = True
-            for constraint in plan.constraints:
-                found = False
-                for _ in self.registry.solve(constraint, ok):
-                    found = True
-                    break
-                if not found:
-                    satisfied = False
-                    break
-            if satisfied:
+            if constraints_hold(self.registry, plan.constraints, binding):
                 filtered.add(row)
             else:
                 counters.pruned_tuples += 1

@@ -21,7 +21,9 @@ This module provides:
   negative increment ever appears, pruning is disabled for the
   affected derivation (monotonicity would be violated).
 * :func:`detect_accumulators` / :func:`push_constraints` — the analysis
-  entry points the partial evaluator calls.
+  entry points the partial evaluator calls; :func:`fold_accumulators`
+  (Alg. 3.3's applicability test) and :func:`constraints_hold` (the
+  residual-constraint filter), which the planner calls too.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.literals import Literal, Predicate
 from ..datalog.terms import NIL, Const, Term, Var, is_ground, make_list
+from ..datalog.unify import Substitution
+from ..engine.builtins import BuiltinRegistry
 from ..analysis.chains import CompiledRecursion
 from ..analysis.finiteness import PathSplit
 
@@ -38,7 +42,9 @@ __all__ = [
     "Accumulator",
     "PushedConstraint",
     "ConstraintPushingError",
+    "constraints_hold",
     "detect_accumulators",
+    "fold_accumulators",
     "push_constraints",
 ]
 
@@ -175,6 +181,31 @@ def detect_accumulators(
                     )
                 )
     return accumulators
+
+
+def fold_accumulators(
+    compiled: CompiledRecursion, split: PathSplit
+) -> Tuple[List[Accumulator], List[Literal]]:
+    """Algorithm 3.3's applicability test: the accumulators of
+    ``split``'s delayed portion, and the delayed literals that are not
+    one.  Partial evaluation folds the whole delayed portion during the
+    descent, so it applies only when the second list is empty."""
+    accumulators = detect_accumulators(compiled, split)
+    folded = {id(acc.literal) for acc in accumulators}
+    return accumulators, [lit for lit in split.delayed if id(lit) not in folded]
+
+
+def constraints_hold(
+    registry: BuiltinRegistry,
+    constraints: Sequence[Literal],
+    binding: Substitution,
+) -> bool:
+    """True when every comparison goal in ``constraints`` has a
+    solution under ``binding`` (an answer row unified with the query)."""
+    return all(
+        any(True for _ in registry.solve(constraint, binding))
+        for constraint in constraints
+    )
 
 
 def push_constraints(

@@ -20,7 +20,7 @@ indexes.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Term",
@@ -35,6 +35,7 @@ __all__ = [
     "cons",
     "term_variables",
     "is_ground",
+    "call_pattern",
     "term_size",
     "term_depth",
     "fresh_variable_factory",
@@ -266,6 +267,30 @@ def is_ground(term: Term) -> bool:
         if isinstance(current, Struct):
             stack.extend(current.args)
     return True
+
+
+def call_pattern(args: Sequence[Term]) -> Tuple[Tuple[object, ...], List[Term]]:
+    """The variant key of a call's arguments: ground subterms stay and
+    each distinct variable becomes a placeholder numbered by first
+    occurrence, so ``p(a, X, X)`` and ``p(a, Y, Y)`` share a key but
+    ``p(a, X, Y)`` does not.  Returns the hashable key and the
+    generalized arguments (variables renamed ``_Tab0``, ``_Tab1``, ...)."""
+    mapping: Dict[str, int] = {}
+
+    def canon(term: Term) -> Tuple[object, Term]:
+        if is_ground(term):
+            return term, term
+        if isinstance(term, Var):
+            index = mapping.setdefault(term.name, len(mapping))
+            return ("var", index), Var(f"_Tab{index}")
+        parts = [canon(arg) for arg in term.args]
+        return (
+            (term.functor, tuple(part for part, _ in parts)),
+            Struct(term.functor, [arg for _, arg in parts]),
+        )
+
+    pairs = [canon(arg) for arg in args]
+    return tuple(key for key, _ in pairs), [arg for _, arg in pairs]
 
 
 def term_size(term: Term) -> int:

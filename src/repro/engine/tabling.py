@@ -26,21 +26,18 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.literals import Literal, Predicate
-from ..datalog.parser import parse_query
-from ..datalog.rules import Rule
-from ..datalog.terms import Term, Var, fresh_variable_factory, is_ground
-from ..datalog.unify import (
-    Substitution,
-    apply_substitution,
-    unify,
-    unify_sequences,
-)
+from ..datalog.terms import Term, call_pattern, fresh_variable_factory, is_ground
+from ..datalog.unify import Substitution, apply_substitution, unify_sequences
 from .builtins import BuiltinError, BuiltinRegistry, default_registry
 from .counters import Counters
 from .database import Database
 from .joins import literal_solutions
-from .relation import Relation
-from .topdown import NotFinitelyEvaluable, _recursion_headroom
+from .topdown import (
+    GoalQueries,
+    NotFinitelyEvaluable,
+    TopDownEvaluator,
+    _recursion_headroom,
+)
 
 __all__ = ["TabledEvaluator"]
 
@@ -48,41 +45,6 @@ __all__ = ["TabledEvaluator"]
 #: canonical placeholders (so ``anc(X, Y)`` and ``anc(A, B)`` share a
 #: table but ``anc(a, Y)`` gets its own).
 CallKey = Tuple[Predicate, Tuple[object, ...]]
-
-
-def _canonical(args: Sequence[Term]) -> Tuple[Tuple[object, ...], List[Term]]:
-    """Canonicalize a goal's arguments: ground subterms stay, variables
-    become position-indexed placeholders.  Returns the hashable key and
-    the generalized argument list used to run the call."""
-    mapping: Dict[str, int] = {}
-    key_parts: List[object] = []
-    general: List[Term] = []
-
-    def canon(term: Term) -> Tuple[object, Term]:
-        if is_ground(term):
-            return term, term
-        if isinstance(term, Var):
-            if term.name not in mapping:
-                mapping[term.name] = len(mapping)
-            index = mapping[term.name]
-            return ("var", index), Var(f"_Tab{index}")
-        # Partially instantiated structure: canonicalize recursively.
-        from ..datalog.terms import Struct
-
-        assert isinstance(term, Struct)
-        parts = []
-        new_args = []
-        for arg in term.args:
-            part, new_arg = canon(arg)
-            parts.append(part)
-            new_args.append(new_arg)
-        return (term.functor, tuple(parts)), Struct(term.functor, new_args)
-
-    for arg in args:
-        part, new_arg = canon(arg)
-        key_parts.append(part)
-        general.append(new_arg)
-    return tuple(key_parts), general
 
 
 class _Table:
@@ -96,11 +58,12 @@ class _Table:
         self.complete = False
 
 
-class TabledEvaluator:
+class TabledEvaluator(GoalQueries):
     """Top-down evaluation with call-pattern tabling.
 
     API mirrors :class:`~repro.engine.topdown.TopDownEvaluator`:
-    ``solve`` / ``query`` / ``ask``.
+    ``solve`` / ``query`` / ``ask``, and goals are selected by its
+    deferred policy.
     """
 
     def __init__(
@@ -115,6 +78,8 @@ class TabledEvaluator:
         self.counters = Counters()
         self._tables: Dict[CallKey, _Table] = {}
         self._fresh = fresh_variable_factory("_TR")
+        # Borrow the evaluator's deferred goal selection.
+        self._selector = TopDownEvaluator(database, self.registry)
 
     # ------------------------------------------------------------------
     # Public API
@@ -125,33 +90,7 @@ class TabledEvaluator:
         """Enumerate solutions of a conjunctive goal list."""
         with _recursion_headroom():
             self._saturate(list(goals), dict(subst or {}))
-            yield from self._answers_for(list(goals), dict(subst or {}))
-
-    def query(self, source: str) -> List[Dict[str, Term]]:
-        goals = parse_query(source)
-        names: List[str] = []
-        seen: Set[str] = set()
-        for goal in goals:
-            for var in goal.variables():
-                if var.name not in seen:
-                    seen.add(var.name)
-                    names.append(var.name)
-        results: List[Dict[str, Term]] = []
-        result_keys: Set[Tuple[Tuple[str, Term], ...]] = set()
-        for solution in self.solve(goals):
-            binding = {
-                name: apply_substitution(Var(name), solution) for name in names
-            }
-            key = tuple(sorted(binding.items()))
-            if key not in result_keys:
-                result_keys.add(key)
-                results.append(binding)
-        return results
-
-    def ask(self, source: str) -> bool:
-        for _ in self.solve(parse_query(source)):
-            return True
-        return False
+            yield from self._solve_body(list(goals), dict(subst or {}))
 
     def table_sizes(self) -> Dict[str, int]:
         """Answer counts per call pattern (for tests/diagnostics)."""
@@ -232,12 +171,16 @@ class TabledEvaluator:
         if not goals:
             yield subst
             return
-        index = self._select(goals, subst)
+        index = self._selector._select(goals, subst)
         goal = goals[index]
         rest = goals[:index] + goals[index + 1 :]
 
         if goal.negated:
             ground_args = [apply_substitution(a, subst) for a in goal.args]
+            if any(not is_ground(a) for a in ground_args):
+                raise NotFinitelyEvaluable(
+                    f"negated goal {goal} selected with unbound arguments"
+                )
             positive = goal.positive().with_args(ground_args)
             if self._is_idb(positive):
                 # Negation over a *growing* table is unsound (an early
@@ -285,47 +228,14 @@ class TabledEvaluator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _select(self, goals: List[Literal], subst: Substitution) -> int:
-        """Deferred selection (as in the plain evaluator): ready
-        builtins first, then ready negations, then a user goal."""
-        first_user: Optional[int] = None
-        for index, goal in enumerate(goals):
-            if goal.negated:
-                if all(
-                    is_ground(apply_substitution(a, subst)) for a in goal.args
-                ):
-                    return index
-                continue
-            builtin = self.registry.get(goal.predicate)
-            if builtin is not None:
-                bound = frozenset(
-                    i
-                    for i, arg in enumerate(goal.args)
-                    if is_ground(apply_substitution(arg, subst))
-                )
-                if builtin.is_finite_under(bound):
-                    return index
-                continue
-            if first_user is None:
-                first_user = index
-        if first_user is not None:
-            return first_user
-        stuck = ", ".join(str(g.substitute(subst)) for g in goals)
-        raise NotFinitelyEvaluable(f"all remaining goals floundered: {stuck}")
-
     def _is_idb(self, literal: Literal) -> bool:
         return bool(self.database.program.rules_for(literal.predicate))
 
     def _table_for(self, literal: Literal) -> _Table:
-        key_parts, general = _canonical(literal.args)
+        key_parts, general = call_pattern(literal.args)
         key = (literal.predicate, key_parts)
         table = self._tables.get(key)
         if table is None:
             table = _Table(general)
             self._tables[key] = table
         return table
-
-    def _answers_for(
-        self, goals: List[Literal], subst: Substitution
-    ) -> Iterator[Substitution]:
-        yield from self._solve_body(goals, subst)

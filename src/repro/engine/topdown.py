@@ -61,7 +61,42 @@ def _recursion_headroom(limit: int = 1_000_000):
         sys.setrecursionlimit(old)
 
 
-class TopDownEvaluator:
+class GoalQueries:
+    """``query`` / ``ask`` over a ``solve(goals)`` method; the top-down
+    and tabled evaluators share them."""
+
+    def query(self, source: str) -> List[Dict[str, Term]]:
+        """Parse and run a query; return bindings of the query's own
+        variables (one dict per solution, deduplicated, in order)."""
+        goals = parse_query(source)
+        names: List[str] = []
+        seen: Set[str] = set()
+        for goal in goals:
+            for var in goal.variables():
+                if var.name not in seen:
+                    seen.add(var.name)
+                    names.append(var.name)
+        answers: List[Dict[str, Term]] = []
+        answer_keys: Set[Tuple[Tuple[str, Term], ...]] = set()
+        for solution in self.solve(goals):
+            binding = {
+                name: apply_substitution(Var(name), solution) for name in names
+            }
+            key = tuple(sorted(binding.items(), key=lambda kv: kv[0]))
+            if key not in answer_keys:
+                answer_keys.add(key)
+                answers.append(binding)
+        return answers
+
+    def ask(self, source: str) -> bool:
+        """True when the query has at least one solution."""
+        goals = parse_query(source)
+        for _ in self.solve(goals):
+            return True
+        return False
+
+
+class TopDownEvaluator(GoalQueries):
     """SLD resolution over a :class:`Database`.
 
     Parameters
@@ -120,36 +155,6 @@ class TopDownEvaluator:
             # after the first witness (existence probes).
             ctx.end(resolve_span)
             ctx.end(run_span, steps=self._steps)
-
-    def query(self, source: str) -> List[Dict[str, Term]]:
-        """Parse and run a query; return bindings of the query's own
-        variables (one dict per solution, deduplicated, in order)."""
-        goals = parse_query(source)
-        names: List[str] = []
-        seen: Set[str] = set()
-        for goal in goals:
-            for var in goal.variables():
-                if var.name not in seen:
-                    seen.add(var.name)
-                    names.append(var.name)
-        answers: List[Dict[str, Term]] = []
-        answer_keys: Set[Tuple[Tuple[str, Term], ...]] = set()
-        for solution in self.solve(goals):
-            binding = {
-                name: apply_substitution(Var(name), solution) for name in names
-            }
-            key = tuple(sorted(binding.items(), key=lambda kv: kv[0]))
-            if key not in answer_keys:
-                answer_keys.add(key)
-                answers.append(binding)
-        return answers
-
-    def ask(self, source: str) -> bool:
-        """True when the query has at least one solution."""
-        goals = parse_query(source)
-        for _ in self.solve(goals):
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Resolution

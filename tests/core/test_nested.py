@@ -9,6 +9,7 @@ from repro.engine.topdown import TopDownEvaluator
 from repro.analysis.normalize import NormalizedProgram
 from repro.core.nested import NestedChainEvaluator, NestedEvaluationError
 from repro.core.planner import Planner, Strategy
+from repro.testing import assert_strategies_agree
 from repro.workloads import ISORT, QSORT, as_list_term, from_list_term, load, random_int_list
 
 
@@ -79,6 +80,25 @@ class TestIsort:
         cache_size = len(isort_evaluator._call_cache)
         isort_evaluator.evaluate(query)
         assert len(isort_evaluator._call_cache) == cache_size
+
+
+REPEATED_VARIABLE = """
+r(X,Y,Z) :- b(X,Y,Z).
+r(X,Y,Z) :- c(X,X1), r(X1,Y,Z).
+o(X,Z) :- f(X,Z).
+o(X,Z) :- e(X,Y), r(Y,W,W), r(Y,V,U), o(V,Z).
+e(a,y). c(y,y1). b(y1,w,w). b(y1,v,u). f(w,endw). f(v,endv).
+"""
+
+
+class TestCallMemo:
+    def test_repeated_variable_gets_its_own_entry(self):
+        """``r(y, W, W)`` answers only the rows with equal 2nd and 3rd
+        arguments; ``r(y, V, U)`` must not reuse that entry."""
+        db = load(REPEATED_VARIABLE)
+        assert Planner(db).plan("o(a, Z)").strategy == Strategy.NESTED
+        rows = assert_strategies_agree(db, "o(a, Z)")
+        assert {row[1].value for row in rows} == {"endw", "endv"}
 
 
 class TestApplicability:

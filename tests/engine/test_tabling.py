@@ -6,7 +6,11 @@ from repro.datalog.terms import Const
 from repro.engine.database import Database
 from repro.engine.seminaive import SemiNaiveEvaluator
 from repro.engine.tabling import TabledEvaluator
-from repro.engine.topdown import BudgetExceeded, TopDownEvaluator
+from repro.engine.topdown import (
+    BudgetExceeded,
+    NotFinitelyEvaluable,
+    TopDownEvaluator,
+)
 from repro.workloads import APPEND, SG, from_list_term, load
 
 
@@ -119,6 +123,18 @@ class TestTabling:
         evaluator = TabledEvaluator(db)
         with pytest.raises(NotImplementedError):
             evaluator.query("ok(X)")
+
+    @pytest.mark.parametrize(
+        "body", ["\\+ blocked(X)", "X < 3", "cand(X), \\+ blocked(Y)"]
+    )
+    def test_floundering_goals_raise_like_top_down(self, body):
+        """Goal selection is the top-down evaluator's deferred policy,
+        so a goal that can never become ready raises the same
+        exception type under both evaluators."""
+        db = make_db(f"ok(X) :- {body}.", [("cand", (1,)), ("blocked", (2,))])
+        for evaluator in (TabledEvaluator(db), TopDownEvaluator(db)):
+            with pytest.raises(NotFinitelyEvaluable):
+                evaluator.query("ok(X)")
 
     def test_ask(self):
         db = make_db(RIGHT_ANCESTOR, CHAIN)
