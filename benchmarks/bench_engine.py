@@ -49,7 +49,12 @@ from repro.datalog.unify import Substitution, apply_substitution
 from repro.engine.context import DISABLED, EvalContext
 from repro.engine.counters import Counters
 from repro.engine.database import Database
-from repro.engine.joins import UnsafeRuleError, _resolve, literal_solutions
+from repro.engine.joins import (
+    UnsafeRuleError,
+    _resolve,
+    literal_solutions,
+    order_body,
+)
 from repro.engine.relation import Relation
 from repro.engine.seminaive import EvaluationResult, SemiNaiveEvaluator
 from repro.analysis.normalize import normalize
@@ -155,7 +160,9 @@ class LegacySemiNaiveEvaluator(SemiNaiveEvaluator):
                 predicate, Relation(predicate.name, predicate.arity)
             )
         lookup = self._make_lookup(derived)
-        ordered_bodies = {id(rule): self._order(rule.body) for rule in rules}
+        ordered_bodies = {
+            id(rule): order_body(rule.body, self.registry) for rule in rules
+        }
         recursive_slots: Dict[int, List[int]] = {
             id(rule): [
                 i

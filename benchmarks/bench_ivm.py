@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""IVM benchmark: cache repair vs flush-and-recompute under live writes.
+"""IVM benchmark: cache repair vs evict-and-recompute under live writes.
 
 The serving claim behind ``repro.ivm``: a session with ``ivm=True``
 keeps its cached results *warm across mutations* — each committed
 write triggers one incremental maintenance run (semi-naive insert
 propagation, counting/DRed deletion) plus an O(delta) patch of every
-cached answer set, after which reads are cache hits again.  The
-pre-IVM session flushes its result cache on any EDB write, so every
-cached query pays a full re-evaluation after every mutation.
+cached answer set, after which reads are cache hits again.  A session
+without views evicts every cached answer a write reaches; every write
+here lands in the ``sg`` closure, so every cached query pays a full
+re-evaluation after every mutation.
 
 The workload is a sustained mixed write+read stream over the paper's
 ``sg`` family database: each round commits one mutation into the

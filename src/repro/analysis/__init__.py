@@ -22,7 +22,6 @@ from .chains import (
 from .cost import CostModel, LinkageDecision
 from .depgraph import ClosureInfo, DependencyGraph
 from .graphviz import chain_to_dot, program_to_dot, proof_to_dot
-from .joinorder import CostBasedOrderer
 from .finiteness import (
     NotFinitelyEvaluableError,
     PathSplit,
@@ -42,7 +41,6 @@ __all__ = [
     "ClosureInfo",
     "CompilationError",
     "CompiledRecursion",
-    "CostBasedOrderer",
     "CostModel",
     "DependencyGraph",
     "chain_to_dot",

@@ -191,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ivm",
         action="store_true",
-        help="incremental view maintenance: repair cached results in place "
-        "on FACT/RETRACT instead of flushing them, and let --serve clients "
-        "SUBSCRIBE to derived predicates",
+        help="incremental view maintenance: repair the cached results a "
+        "FACT/RETRACT reaches in place instead of evicting them, and let "
+        "--serve clients SUBSCRIBE to derived predicates",
     )
     parser.add_argument(
         "--serve",

@@ -137,22 +137,12 @@ class _BottomUpEvaluator:
         database: Database,
         registry: Optional[BuiltinRegistry] = None,
         max_iterations: int = 100_000,
-        orderer=None,
         ctx: EvalContext = DISABLED,
     ):
         self.database = database
         self.registry = registry if registry is not None else default_registry()
         self.max_iterations = max_iterations
-        # Optional body orderer: callable(body, initially_bound) ->
-        # [(index, literal)], e.g. analysis.joinorder.CostBasedOrderer.
-        # Defaults to the greedy bound-is-easier order.
-        self._orderer = orderer
         self.ctx = ctx
-
-    def _order(self, body):
-        if self._orderer is not None:
-            return self._orderer.order(body)
-        return order_body(body, self.registry)
 
     # -- helpers --------------------------------------------------------
     def _make_lookup(self, derived: Dict[Predicate, Relation]):
@@ -272,20 +262,17 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         tracked slots are the positive body positions on a ``tracked``
         predicate, as ``(position, predicate)``, and each slot's
         variant probes its delta first and reorders the rest of the
-        body around the variables it binds.  A pluggable orderer keeps
-        its own order for every variant."""
+        body around the variables it binds."""
         plan = []
         for rule in rules:
-            body = self._order(rule.body)
+            body = order_body(rule.body, self.registry)
             slots = [
                 (i, lit.predicate)
                 for i, lit in enumerate(rule.body)
                 if lit.predicate in tracked and not lit.negated
             ]
             orders = [
-                body if self._orderer is not None
-                else _delta_first_order(rule, slot, self.registry)
-                for slot, _ in slots
+                _delta_first_order(rule, slot, self.registry) for slot, _ in slots
             ]
             plan.append((rule, body, slots, orders))
         return plan
@@ -463,7 +450,7 @@ class NaiveEvaluator(_BottomUpEvaluator):
                 derived[predicate].add_all(stored.rows())
         lookup = self._make_lookup(derived)
         ordered_bodies = {
-            id(rule): self._order(rule.body) for rule in rules
+            id(rule): order_body(rule.body, self.registry) for rule in rules
         }
         ctx = self.ctx
         changed = True

@@ -140,7 +140,8 @@ class ServiceMetrics:
         self.plan_cache_misses = 0
         self.result_cache_hits = 0
         self.result_cache_misses = 0
-        #: Result-cache flushes (any EDB/IDB mutation observed).
+        #: Syncs that dropped cached results: every rule change, and
+        #: every fact change that evicted at least one answer.
         self.result_invalidations = 0
         #: Plan-cache flushes (IDB mutation observed).
         self.plan_invalidations = 0

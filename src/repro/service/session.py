@@ -16,23 +16,22 @@ that across a query stream the way a serving system must:
   answer cache: forked workers run with it off and the server adopts
   their answers here (:meth:`QuerySession.adopt`).
 
-Invalidation follows the database's split version counter
-(:attr:`~repro.engine.database.Database.version`): any mutation flushes
-the result cache; only IDB (rule) mutations flush the plan cache and
-re-normalize the shared planner.  Both checks happen lazily at the next
-request, so mutating through :meth:`add_fact`/:meth:`load_source` or
-directly on the :class:`~repro.engine.database.Database` is equally
-safe.
+Invalidation follows the database's version counters
+(:attr:`~repro.engine.database.Database.version` and the per-relation
+``relation_versions``), checked lazily at the next request, so
+mutating through :meth:`add_fact`/:meth:`load_source` or directly on
+the :class:`~repro.engine.database.Database` is equally safe.  A rule
+change flushes both caches and re-normalizes the shared planner.  A
+fact change keeps every cached answer whose predicate closure misses
+the mutated relations (every plan answers from its closure alone) and
+evicts the rest.
 
 With ``ivm=True`` the session additionally owns a
-:class:`~repro.ivm.ViewManager` and EDB mutations stop flushing the
-result cache wholesale: cached results whose predicate closure does not
-reach any mutated relation are *kept*, results over maintained or
-stored-only predicates are *repaired* in place by re-filtering the
-(incrementally maintained) materialized relations, and only the rest
-are evicted.  Cache-miss queries on maintainable predicates are served
-straight from the materialized view.  See :mod:`repro.ivm` and
-``docs/ivm.md``.
+:class:`~repro.ivm.ViewManager`: the answers a fact change reaches are
+*repaired* in place from the incrementally maintained materialized
+relations where that is cheap, instead of evicted, and cache-miss
+queries on maintainable predicates are served straight from the
+materialized view.  See :mod:`repro.ivm` and ``docs/ivm.md``.
 
 A session is thread-safe: one re-entrant lock serializes planning and
 evaluation (the evaluators share mutable relation state), while cache
@@ -220,14 +219,14 @@ class QuerySession:
         # size cap against unbounded text.
         self._parse_cache: Dict[str, Tuple[Literal, List[Literal], object]] = {}
         self._seen_version = database.version
+        self._seen_relation_versions = dict(database.relation_versions)
         #: Report of the most recent explain() call (TRACE verb).
         self._last_trace: Optional[Dict[str, object]] = None
         #: Report of the most recent profile() call (``--profile-json``).
         self._last_profile: Optional[Dict[str, object]] = None
-        #: Incremental view maintenance (opt-in): selective cache
-        #: invalidation, in-place result repair and view-served answers.
+        #: Incremental view maintenance (opt-in): in-place result repair
+        #: and view-served answers.
         self.views = None
-        self._seen_relation_versions: Dict[object, int] = {}
         if ivm:
             from ..ivm import ViewManager
 
@@ -236,103 +235,87 @@ class QuerySession:
             )
             # Planning and IVM read one dependency graph per IDB version.
             self.views.graph = self.planner.graph
-            self._seen_relation_versions = dict(database.relation_versions)
 
     # ------------------------------------------------------------------
     # Cache coherence
     # ------------------------------------------------------------------
     def _sync(self) -> None:
-        """Reconcile caches with the database's version counters.
+        """Reconcile the caches with the database's version counters.
 
-        Must be called with the lock held.  Without IVM, any mutation
-        invalidates cached *answers*; only rule changes invalidate
-        cached *plans* (and the planner's normalized-program snapshot,
-        via ``Planner.refresh``).
-
-        With IVM, an EDB-only drift consults the dependency graph
-        instead of flushing: cached results whose predicate closure is
-        disjoint from the mutated relations are kept as-is, results
-        that can be re-filtered from maintained views (or straight
-        from a stored relation) are repaired in place, and only the
-        remainder is evicted.
+        Must be called with the lock held.  A rule change clears both
+        caches and re-normalizes the planner (``Planner.refresh``); an
+        IVM session's views follow it.  A fact change keeps every
+        cached answer whose predicate closure is disjoint from the
+        mutated relations: the rules and relations of a closure are a
+        splitting set, so no plan's answer depends on anything outside
+        it.  The other answers are repaired in place from the views
+        when the session maintains them, and evicted otherwise.
         """
         version = self.database.version
         if version == self._seen_version:
             return
         idb_changed = version[1] != self._seen_version[1]
-        if idb_changed or self.views is None:
-            self._result_cache.clear()
-            if idb_changed:
-                self._plan_cache.clear()
-                self.planner.refresh()
-                if self.views is not None:
-                    self.views.on_idb_change(self.planner.graph)
-            self._seen_version = version
-            if self.views is not None:
-                self._seen_relation_versions = dict(
-                    self.database.relation_versions
-                )
-            self.metrics.record_invalidation(plans=idb_changed)
-            return
-        # EDB-only drift with IVM: selective invalidation + repair.
         current = self.database.relation_versions
         mutated = {
             predicate
             for predicate, counter in current.items()
             if self._seen_relation_versions.get(predicate) != counter
         }
-        pending = self.views.drain_pending()
-        kept = repaired = evicted = 0
-        for key, entry in list(self._result_cache.items()):
-            predicate, plan = entry.predicate, entry.plan
-            if self.views.graph.closure(predicate).isdisjoint(mutated):
-                kept += 1
-                continue
-            repaired_rows = None
-            if plan is not None:
-                repaired_rows = self._patch_rows(
-                    plan, entry.rows, pending.get(predicate)
-                )
-                if repaired_rows is None:
-                    repaired_rows = self._repair_rows(plan)
-            if repaired_rows is None:
-                del self._result_cache[key]
-                evicted += 1
-            else:
-                if repaired_rows is not entry.rows:
-                    self._result_cache[key] = entry._replace(
-                        answers=_render_rows(repaired_rows), rows=repaired_rows
-                    )
-                self.views.register_shape(plan).repairs += 1
-                repaired += 1
         self._seen_version = version
         self._seen_relation_versions = dict(current)
+        if idb_changed:
+            self._result_cache.clear()
+            self._plan_cache.clear()
+            self.planner.refresh()
+            if self.views is not None:
+                self.views.on_idb_change(self.planner.graph)
+            self.metrics.record_invalidation(plans=True)
+            return
+        pending = self.views.drain_pending() if self.views is not None else {}
+        closure = self.planner.graph.closure
+        kept = repaired = evicted = 0
+        for key, entry in list(self._result_cache.items()):
+            if closure(entry.predicate).isdisjoint(mutated):
+                kept += 1
+                continue
+            rows = None
+            if self.views is not None and entry.plan is not None:
+                rows = self._patch_rows(entry, pending.get(entry.predicate))
+            if rows is None:
+                del self._result_cache[key]
+                evicted += 1
+                continue
+            if rows is not entry.rows:
+                self._result_cache[key] = entry._replace(
+                    answers=_render_rows(rows), rows=rows
+                )
+            self.views.register_shape(entry.plan).repairs += 1
+            repaired += 1
         if evicted:
             self.metrics.record_invalidation(plans=False)
         if kept or repaired:
             self.metrics.record_ivm_sync(kept=kept, repaired=repaired)
 
     def _patch_rows(
-        self,
-        plan: QueryPlan,
-        rows: List[Tuple[Term, ...]],
-        delta: Optional[Dict[object, int]],
+        self, entry: _Entry, delta: Optional[Dict[object, int]]
     ) -> Optional[List[Tuple[Term, ...]]]:
         """Apply the predicate's net row delta to a cached result.
 
         O(|delta|) instead of re-filtering the whole view: each changed
         row is matched against the query's constants (and, for
         additions, its residual constraints) and folded into the cached
-        answer set.  Returns ``None`` when the delta log is not
-        authoritative for this predicate — no materialization, or a
-        dirty one (skipped/failed maintenance) whose drift the log
-        never saw — and the caller must fall back to a full repair.
+        answer set.  When the delta log is not authoritative for this
+        predicate — no materialization, or a dirty one (skipped/failed
+        maintenance) whose drift the log never saw — the answer is
+        re-filtered from maintained state instead (:meth:`_repair_rows`);
+        ``None`` means the entry must be evicted.
         """
+        plan, rows = entry.plan, entry.rows
         predicate = plan.query.predicate
         if self.views.graph.is_idb(predicate):
             fix = self.views.fixpoints.get(predicate)
             if fix is None or fix.dirty:
-                return None
+                return self._repair_rows(plan)
         if not delta:
             return rows
         from ..engine.relation import Relation

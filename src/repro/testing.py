@@ -24,6 +24,7 @@ from .datalog.terms import Var, is_ground
 __all__ = [
     "answers_via_seminaive",
     "answers_via_topdown",
+    "assert_cache_coherent",
     "assert_slices_agree",
     "assert_strategies_agree",
     "assert_views_match_fixpoint",
@@ -150,6 +151,31 @@ def assert_views_match_fixpoint(manager, database: Database) -> None:
                 row = head_row(rule, subst)
                 tally[row] = tally.get(row, 0) + 1
         assert fix.counts == recount, f"support counts of {predicate} drifted"
+
+
+def assert_cache_coherent(
+    session, queries: Iterable[str]
+) -> Dict[str, object]:
+    """The ``cached == fresh`` lane: each query answered through
+    ``session`` — from its result cache wherever an entry survived the
+    writes since it was cached, kept or repaired — equals the answer of
+    a fresh :class:`~repro.service.QuerySession` over a copy of the
+    session's database.  Returns each query's
+    :class:`~repro.service.session.QueryResult` from ``session``, so a
+    caller can also check which answers were served from the cache."""
+    from .service.session import QuerySession
+
+    fresh = QuerySession(session.database.copy())
+    results: Dict[str, object] = {}
+    for query in queries:
+        warm = session.execute(query)
+        cold = frozenset(fresh.execute(query).rows)
+        assert frozenset(warm.rows) == cold, (
+            f"cached != fresh for {query} (result_cached="
+            f"{warm.result_cached}): {frozenset(warm.rows) ^ cold}"
+        )
+        results[query] = warm
+    return results
 
 
 def _query(query_source) -> Literal:

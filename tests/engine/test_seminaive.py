@@ -363,34 +363,3 @@ class TestStreamingPipeline:
         assert result.counters.builtin_evals == 5
         assert result.counters.builtin_evals <= result.counters.total_work
         assert result.counters.as_dict()["builtin_evals"] == 5
-
-
-class TestCostBasedOrdering:
-    def test_seminaive_with_cost_orderer(self):
-        """The evaluator accepts a pluggable body orderer and still
-        returns the same answers."""
-        from repro.analysis.joinorder import CostBasedOrderer
-
-        db = make_db(ANCESTOR, CHAIN)
-        default_result = SemiNaiveEvaluator(db).evaluate()
-        smart = SemiNaiveEvaluator(db, orderer=CostBasedOrderer(db))
-        smart_result = smart.evaluate()
-        assert default_result.relation("anc", 2) == smart_result.relation("anc", 2)
-
-    def test_cost_orderer_can_reduce_work(self):
-        from repro.analysis.joinorder import CostBasedOrderer
-
-        db = Database()
-        db.load_source("pair(S, B) :- small(K, S), big(K, B), sel(K).")
-        for key in range(20):
-            for t in range(20):
-                db.add_fact("big", (key, f"b{key}_{t}"))
-            db.add_fact("small", (key, f"s{key}"))
-        db.add_fact("sel", (3,))
-        default_result = SemiNaiveEvaluator(db).evaluate()
-        smart_result = SemiNaiveEvaluator(db, orderer=CostBasedOrderer(db)).evaluate()
-        assert default_result.relation("pair", 2) == smart_result.relation("pair", 2)
-        assert (
-            smart_result.counters.intermediate_tuples
-            <= default_result.counters.intermediate_tuples
-        )

@@ -7,8 +7,9 @@ slots in one body) and a two-slot join whose batches add or retract
 both rows of one derivation (exact counting tallies).  After every
 mutation the maintained relations must equal a fresh semi-naive
 evaluation of the same database
-(:func:`repro.testing.assert_views_match_fixpoint`), and a session
-answering from views must agree with a cold planner.
+(:func:`repro.testing.assert_views_match_fixpoint`).  That a session's
+cached and view-served answers agree with a fresh one is
+``tests/service/test_cache_coherence.py``'s lane.
 """
 
 import hypothesis.strategies as st
@@ -17,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from repro.datalog.literals import Predicate
 from repro.engine.database import Database
 from repro.ivm import ViewManager
-from repro.service.session import QuerySession
 from repro.testing import assert_views_match_fixpoint
 from repro.workloads import ANCESTOR, SCSG, SG
 
@@ -184,28 +184,3 @@ class TestNegationInterleavings:
             else:
                 db.retract_fact(name, row)
             assert_views_match_fixpoint(manager, db)
-
-
-class TestSessionEquivalence:
-    @slow
-    @given(ops_over(["parent", "sibling"]), st.lists(pair, max_size=5))
-    def test_ivm_session_agrees_with_cold_planner(self, ops, seed_pairs):
-        """A session serving repaired/view-backed answers matches a
-        cold planner over the identical final database."""
-        db = seeded(SG, ["parent", "sibling"], seed_pairs)
-        session = QuerySession(db, ivm=True)
-        session.execute("sg(X, Y)")  # prime the cache + views
-        for op, name, row in ops:
-            if op == "add":
-                session.add_fact(name, row)
-            else:
-                session.retract_fact(name, row)
-            warm = session.execute("sg(X, Y)").rows
-            cold_db = Database()
-            cold_db.load_source(SG)
-            for pred, relation in db.relations.items():
-                if pred.name != "sg":
-                    for stored in relation:
-                        cold_db.add_fact(pred.name, tuple(stored))
-            cold = QuerySession(cold_db).execute("sg(X, Y)").rows
-            assert sorted(map(str, warm)) == sorted(map(str, cold))

@@ -155,6 +155,30 @@ class TestInlineHits:
         third = client.request(HIT)
         assert third["result_cached"] and third["answers"] == second["answers"]
 
+    @pytest.mark.parametrize("ivm", [False, True])
+    @pytest.mark.parametrize("workers", MODES)
+    def test_fact_outside_the_closure_keeps_the_answer(
+        self, connect, workers, ivm
+    ):
+        """With views or without, a cached (at workers >= 1,
+        worker-adopted) answer survives a write its closure never reads;
+        one that it does read evicts it, or repairs it in place."""
+        db = Database()
+        db.load_source(
+            "anc(X, Y) :- par(X, Y).\n"
+            "anc(X, Y) :- par(X, Z), anc(Z, Y).\n"
+            "par(a, b). par(b, c). e(p, q).\n"
+        )
+        _, client = connect(QuerySession(db, ivm=ivm), workers=workers)
+        assert client.request("QUERY anc(a, Y)")["count"] == 2
+        assert client.request("FACT e(q, r).")["added"]
+        kept = client.request("QUERY anc(a, Y)")
+        assert kept["result_cached"] and kept["count"] == 2
+        assert client.request("FACT par(c, d).")["added"]
+        evicted = client.request("QUERY anc(a, Y)")
+        assert evicted["result_cached"] == (ivm and workers == 0)
+        assert evicted["count"] == 3
+
     @pytest.mark.parametrize("workers", MODES)
     def test_reqlog_record_of_an_inline_hit(self, connect, workers):
         server, client = connect(_session(), workers=workers)

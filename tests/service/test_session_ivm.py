@@ -49,14 +49,24 @@ class TestSelectiveInvalidation:
         assert result.result_cached
         assert session.metrics.ivm_results_kept >= 1
 
-    def test_default_session_still_flushes(self):
-        """The historical behavior is unchanged without ivm=True."""
+    def test_default_session_keeps_unrelated_evicts_related(self):
+        """Without views the same rule holds: a write outside the
+        closure keeps the answer, a write inside it evicts it."""
         db = Database()
         db.load_source(SOURCE)
         plain = QuerySession(db)
-        plain.execute("ancestor(X, Y)")
+        before = plain.execute("ancestor(X, Y)")
         plain.add_fact("color", ("b", "blue"))
-        assert not plain.execute("ancestor(X, Y)").result_cached
+        assert plain.execute("ancestor(X, Y)").result_cached
+        assert plain.metrics.ivm_results_kept == 1
+        assert plain.metrics.result_invalidations == 0
+        plain.add_fact("parent", ("c", "d"))
+        after = plain.execute("ancestor(X, Y)")
+        assert not after.result_cached
+        assert len(after.rows) == len(before.rows) + 3
+        assert plain.metrics.ivm_results_kept == 1
+        assert plain.metrics.result_invalidations == 1
+        assert plain.metrics.plan_invalidations == 0
 
     def test_related_fact_repairs_in_place(self, session):
         before = session.execute("ancestor(X, Y)")
