@@ -43,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.datalog.literals import Predicate
 from repro.datalog.parser import parse_query
-from repro.datalog.rules import Program, Rule
+from repro.datalog.rules import Rule
 from repro.datalog.terms import is_ground
 from repro.datalog.unify import Substitution, apply_substitution
 from repro.engine.context import DISABLED, EvalContext
@@ -56,7 +56,7 @@ from repro.engine.joins import (
     order_body,
 )
 from repro.engine.relation import Relation
-from repro.engine.seminaive import EvaluationResult, SemiNaiveEvaluator
+from repro.engine.seminaive import EvaluationResult, SemiNaiveEvaluator, Stratum
 from repro.analysis.normalize import normalize
 from repro.core import buffered as buffered_module
 from repro.core.buffered import BufferedChainEvaluator
@@ -147,14 +147,15 @@ class LegacySemiNaiveEvaluator(SemiNaiveEvaluator):
 
     def _evaluate_stratum(
         self,
-        program: Program,
-        stratum,
+        compiled: Stratum,
         derived: Dict[Predicate, Relation],
         counters: Counters,
         stop_condition=None,
         on_derive=None,
     ) -> bool:
-        rules = [r for r in program if r.head.predicate in stratum]
+        # Only the stratum's predicates and rules: the legacy engine
+        # orders and joins them itself.
+        stratum, rules = compiled.predicates, compiled.rules
         for predicate in stratum:
             derived.setdefault(
                 predicate, Relation(predicate.name, predicate.arity)

@@ -38,11 +38,11 @@ from ..engine.builtins import BuiltinRegistry
 from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
-from ..engine.joins import evaluate_body, order_body
+from ..engine.joins import CompiledBody, compile_body, evaluate_body
 from ..engine.relation import Relation
 from ..analysis.chains import CompiledRecursion
 from ..analysis.finiteness import PathSplit, split_path
-from .chain import ChainEvaluator
+from .chain import ChainEvaluator, ChainProgram
 
 __all__ = ["BufferedChainEvaluator", "BufferedEvaluationError"]
 
@@ -105,21 +105,13 @@ class BufferedChainEvaluator(ChainEvaluator):
         self._injected_split = split
 
     # ------------------------------------------------------------------
-    def _run(self, query: Literal, counters: Counters) -> Relation:
-        ctx = self.ctx
-        # The split + body ordering is planning-grade work; give it
-        # its own stage rather than container self time.
-        setup_span = ctx.begin("stage", "chain_setup")
+    def _compile(self, query: Literal) -> "_BufferedProgram":
         head_args = self.compiled.head_args
-        rec_args = self.compiled.rec_args
         rec_literal = self.compiled.recursive_literal
-        lookup = self.database.get
-
         bound_positions = [
             i for i, arg in enumerate(query.args) if is_ground(arg)
         ]
         entry_bound = {head_args[p].name for p in bound_positions}
-
         split = self._injected_split
         if split is None:
             extra = {} if self.idb_finite is None else {"idb_finite": self.idb_finite}
@@ -127,19 +119,40 @@ class BufferedChainEvaluator(ChainEvaluator):
                 self.chains[0], entry_bound, rec_literal, self.registry,
                 self.database, **extra,
             )
-        evaluable_order = order_body(
-            split.evaluable, self.registry, initially_bound=entry_bound
-        )
         delayed_bound = (
             entry_bound
             | {v.name for lit in split.evaluable for v in lit.variables()}
             | {v.name for v in rec_literal.variables()}
         )
-        delayed_order = order_body(
-            split.delayed, self.registry, initially_bound=delayed_bound
+        return _BufferedProgram(
+            bound_positions=bound_positions,
+            entry_bound=entry_bound,
+            evaluable_order=compile_body(
+                split.evaluable, self.registry, initially_bound=entry_bound
+            ),
+            delayed_bound=delayed_bound,
+            delayed_order=compile_body(
+                split.delayed, self.registry, initially_bound=delayed_bound
+            ),
+            buffered_names=set(split.buffered_vars),
         )
+
+    def _run(self, query: Literal, counters: Counters) -> Relation:
+        ctx = self.ctx
+        # Compiling the split and the bodies (a plan's first run only)
+        # is planning-grade work; give it its own stage rather than
+        # container self time.
+        setup_span = ctx.begin("stage", "chain_setup")
+        program = self._program(query)
+        head_args = self.compiled.head_args
+        rec_args = self.compiled.rec_args
+        lookup = self.database.get
+        bound_positions = program.bound_positions
+        entry_bound = program.entry_bound
+        delayed_order = program.delayed_order
+        delayed_bound = program.delayed_bound
         # Variables the delayed portion needs from the down phase.
-        buffered_names = set(split.buffered_vars)
+        buffered_names = program.buffered_names
 
         # ---- down phase: one memoized call node per distinct call ------
         root_bindings = {
@@ -176,15 +189,15 @@ class BufferedChainEvaluator(ChainEvaluator):
 
         ctx.end(setup_span)
         self.descend(
-            "chain_down", evaluable_order, sorted(entry_bound), [root], expand,
-            counters,
+            "chain_down", program.evaluable_order, sorted(entry_bound), [root],
+            expand, counters,
         )
 
         # ---- exit phase -------------------------------------------------
         exit_span = ctx.begin("stage", "chain_exit")
         changed: List[_CallNode] = []
         for node in calls.values():
-            node.results.update(self.exit_rows(node.bindings, counters))
+            node.results.update(self.exit_rows(program, node.bindings, counters))
             if node.results:
                 changed.append(node)
         ctx.end(exit_span, calls=len(calls), with_exit_rows=len(changed))
@@ -260,3 +273,17 @@ class BufferedChainEvaluator(ChainEvaluator):
     @staticmethod
     def _call_key(bindings: Dict[str, Term]) -> Tuple[object, ...]:
         return tuple(sorted(bindings.items(), key=lambda kv: kv[0]))
+
+
+@dataclass(eq=False)
+class _BufferedProgram(ChainProgram):
+    """Algorithm 3.2 compiled for one adornment: the split's evaluable
+    portion ordered for the descent, its delayed portion for the up
+    phase, and the variables buffered between them."""
+
+    bound_positions: List[int]
+    entry_bound: Set[str]
+    evaluable_order: CompiledBody
+    delayed_bound: Set[str]
+    delayed_order: CompiledBody
+    buffered_names: Set[str]

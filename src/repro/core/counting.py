@@ -19,16 +19,17 @@ cyclic-counting extensions, ref [5]); a repeated frontier raises.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..datalog.literals import Literal
 from ..datalog.terms import Term, Var, is_ground
 from ..datalog.unify import Substitution, apply_substitution, unify_sequences
 from ..engine.counters import Counters
-from ..engine.joins import evaluate_body, order_body
+from ..engine.joins import CompiledBody, compile_body, evaluate_body
 from ..engine.relation import Relation
 from ..analysis.chains import ChainPath
-from .chain import ChainEvaluator
+from .chain import ChainEvaluator, ChainProgram
 
 __all__ = ["CountingEvaluator", "CountingError"]
 
@@ -48,9 +49,7 @@ class CountingEvaluator(ChainEvaluator):
     span = "counting"
     multi_chain = True
 
-    def _run(self, query: Literal, counters: Counters) -> Relation:
-        ctx = self.ctx
-        setup_span = ctx.begin("stage", "count_setup")
+    def _compile(self, query: Literal) -> "_CountingProgram":
         head_args = self.compiled.head_args
         rec_args = self.compiled.rec_args
         bound_positions = {
@@ -58,15 +57,37 @@ class CountingEvaluator(ChainEvaluator):
         }
         down = self._chain_covering(bound_positions)
         up_chains = [chain for chain in self.chains if chain is not down]
+        up_bound = [
+            {rec_args[p].name for p in up.rec_positions if isinstance(rec_args[p], Var)}
+            for up in up_chains
+        ]
+        return _CountingProgram(
+            down=down,
+            down_order=compile_body(
+                down.literals,
+                self.registry,
+                initially_bound={head_args[p].name for p in bound_positions},
+            ),
+            down_names=[head_args[p].name for p in down.head_positions],
+            down_rec_args=[rec_args[p] for p in down.rec_positions],
+            up_chains=up_chains,
+            up_bound=up_bound,
+            up_orders=[
+                compile_body(up.literals, self.registry, initially_bound=bound)
+                for up, bound in zip(up_chains, up_bound)
+            ],
+        )
+
+    def _run(self, query: Literal, counters: Counters) -> Relation:
+        ctx = self.ctx
+        setup_span = ctx.begin("stage", "count_setup")
+        program = self._program(query)
+        head_args = self.compiled.head_args
+        down, up_chains = program.down, program.up_chains
+        down_names = program.down_names
+        down_rec_args = program.down_rec_args
 
         # ---- down phase: per-level frontiers of the bound chain ------
-        down_order = order_body(
-            down.literals,
-            self.registry,
-            initially_bound={head_args[p].name for p in bound_positions},
-        )
-        down_names = [head_args[p].name for p in down.head_positions]
-        down_rec_args = [rec_args[p] for p in down.rec_positions]
         frontiers: List[Set[Tuple[Term, ...]]] = []
         seen_states: Set[frozenset] = set()
 
@@ -98,7 +119,7 @@ class CountingEvaluator(ChainEvaluator):
         counters.buffered_values += 1
         ctx.end(setup_span)
         self.descend(
-            "count_down", down_order, sorted(down_names), {root}, expand,
+            "count_down", program.down_order, sorted(down_names), {root}, expand,
             counters, first_level=0,
         )
 
@@ -111,7 +132,9 @@ class CountingEvaluator(ChainEvaluator):
             [
                 dict(zip(head_names, row))
                 for values in frontier
-                for row in self.exit_rows(dict(zip(down_names, values)), counters)
+                for row in self.exit_rows(
+                    program, dict(zip(down_names, values)), counters
+                )
             ]
             for frontier in frontiers
         ]
@@ -128,14 +151,7 @@ class CountingEvaluator(ChainEvaluator):
 
         # ---- up phase: ascend every remaining chain level by level ----
         up_span = ctx.begin("stage", "count_up")
-        up_bound = [
-            {rec_args[p].name for p in up.rec_positions if isinstance(rec_args[p], Var)}
-            for up in up_chains
-        ]
-        up_orders = [
-            order_body(up.literals, self.registry, initially_bound=bound)
-            for up, bound in zip(up_chains, up_bound)
-        ]
+        up_bound, up_orders = program.up_bound, program.up_orders
         up_counts = [ctx.stage_counts(len(order)) for order in up_orders]
         up_seeds = [[0] for _ in up_chains]
         answers = Relation(query.name, query.arity)
@@ -226,3 +242,17 @@ class CountingEvaluator(ChainEvaluator):
             "query constants do not fully bind either chain's head "
             "positions — counting is inapplicable"
         )
+
+
+@dataclass(eq=False)
+class _CountingProgram(ChainProgram):
+    """Counting compiled for one adornment: the bound (down) chain with
+    its compiled body, and each up chain with its own."""
+
+    down: ChainPath
+    down_order: CompiledBody
+    down_names: List[str]
+    down_rec_args: List[Term]
+    up_chains: List[ChainPath]
+    up_bound: List[Set[str]]
+    up_orders: List[CompiledBody]

@@ -21,7 +21,7 @@ Example 1.2 / §3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.literals import Literal, Predicate
 from ..datalog.rules import Program, Rule
@@ -32,7 +32,7 @@ from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
 from ..engine.relation import Relation
-from ..engine.seminaive import EvaluationResult, SemiNaiveEvaluator
+from ..engine.seminaive import CompiledHead, SemiNaiveEvaluator, Stratum
 from ..analysis.adornment import (
     AdornedProgram,
     AdornedRule,
@@ -45,6 +45,7 @@ from ..analysis.cost import CostModel
 
 __all__ = [
     "MagicProgram",
+    "MagicTemplate",
     "magic_transform",
     "chain_split_hook",
     "MagicSetsEvaluator",
@@ -130,17 +131,96 @@ def magic_transform(
             )
         )
 
-    seed_name = _magic_name(query.name, adornment)
     seed_row = tuple(arg for arg in query.args if is_ground(arg))
-    seed_predicate = Predicate(seed_name, len(seed_row))
+    seed = _seed_rule(query, adornment, seed_row)
     # Seed the magic set as a fact rule so semi-naive derives it in
     # round 0 (a plain EDB relation would be shadowed by the derived
     # magic relation of the same name).
-    rewritten.add(Rule(Literal(seed_name, seed_row)))
+    rewritten.add(seed)
     answer_predicate = Predicate(
         adorned_name(query.name, adornment), query.arity
     )
-    return MagicProgram(rewritten, seed_predicate, seed_row, answer_predicate, adorned)
+    return MagicProgram(
+        rewritten, seed.head.predicate, seed_row, answer_predicate, adorned
+    )
+
+
+def _seed_rule(query: Literal, adornment: str, seed_row: Tuple[Term, ...]) -> Rule:
+    """The fact rule ``magic_q__a(c1, ..., ck).`` holding the query's
+    constants: the one rule of a rewrite that depends on their values."""
+    return Rule(Literal(_magic_name(query.name, adornment), seed_row))
+
+
+@dataclass
+class MagicTemplate:
+    """A magic rewrite compiled once per query predicate and adornment.
+
+    Everything but the seed fact depends only on the predicate, the
+    adornment and the rules (and, for Algorithm 3.1, the cost model's
+    split decisions), so a plan keeps one template: the rewrite and the
+    strata of the rewritten program, whose variants are compiled by the
+    first run.  :meth:`instantiate` swaps the seed for a query's own
+    constants; the seed rule is the last rule of the rewrite and so the
+    last rule of its stratum."""
+
+    magic: MagicProgram
+    adornment: str
+    strata: List[Stratum]
+    #: Index in :attr:`strata` of the seed predicate's stratum.
+    seed_stratum: int
+    #: What the split decisions read of the data: the cardinality of
+    #: each decided predicate's relation (None: no relation), as
+    #: :meth:`MagicSetsEvaluator.split_inputs` sees it.  Empty without
+    #: Algorithm 3.1.
+    split_inputs: Dict[Predicate, Optional[int]]
+
+    @classmethod
+    def compile(
+        cls,
+        magic: MagicProgram,
+        query: Literal,
+        engine: SemiNaiveEvaluator,
+        split_inputs: Dict[Predicate, Optional[int]],
+    ) -> "MagicTemplate":
+        strata = engine.compile(magic.program)
+        seed_stratum = next(
+            i for i, stratum in enumerate(strata)
+            if magic.seed_predicate in stratum.predicates
+        )
+        return cls(
+            magic, adornment_for_query(query), strata, seed_stratum, split_inputs
+        )
+
+    def instantiate(
+        self, query: Literal, engine: SemiNaiveEvaluator
+    ) -> Tuple[MagicProgram, List[Stratum]]:
+        """The rewrite and compiled strata for ``query``'s constants."""
+        if adornment_for_query(query) != self.adornment:
+            raise ValueError(
+                f"query {query} does not have the template's adornment "
+                f"{self.adornment}"
+            )
+        magic = self.magic
+        seed_row = tuple(arg for arg in query.args if is_ground(arg))
+        seed = _seed_rule(query, self.adornment, seed_row)
+        program = Program(magic.program.rules[:-1])
+        program.add(seed)
+        strata = list(self.strata)
+        base = strata[self.seed_stratum]
+        if base.variants is None:
+            base.variants = engine.variants(base.rules, base.predicates)
+        # The seed is a fact: its variant differs only in the head.
+        last = base.variants[-1]
+        strata[self.seed_stratum] = Stratum(
+            base.predicates,
+            base.rules[:-1] + [seed],
+            base.variants[:-1] + [last._replace(rule=seed, head=CompiledHead(seed))],
+        )
+        instance = MagicProgram(
+            program, magic.seed_predicate, seed_row, magic.answer_predicate,
+            magic.adorned,
+        )
+        return instance, strata
 
 
 def _adorned_body_literal(adorned_literal) -> Literal:
@@ -287,15 +367,21 @@ def _rewrite_rule_supplementary(
     rewritten.add(Rule(answer_head, [current_sup, *delayed]))
 
 
-def chain_split_hook(cost_model: CostModel) -> PropagationHook:
+def chain_split_hook(
+    cost_model: CostModel, decided: Optional[Set[Predicate]] = None
+) -> PropagationHook:
     """Algorithm 3.1's modified binding-propagation rule as an
     adornment hook: consult the cost model for every non-IDB body
     literal; IDB literals keep default propagation (the recursion's
-    own binding passing is what the adornment computes)."""
+    own binding passing is what the adornment computes).  ``decided``,
+    when given, collects the predicates the decisions read statistics
+    of."""
 
     def hook(literal: Literal, bound: Set[str], is_idb: bool) -> Optional[bool]:
         if is_idb:
             return None
+        if decided is not None:
+            decided.add(literal.predicate)
         decision = cost_model.decide(literal, bound)
         return decision.propagate
 
@@ -327,10 +413,16 @@ class MagicSetsEvaluator:
         # blowup trips the tuple ceiling while the magic set is still
         # being computed.
         self.ctx = ctx
+        #: The template of the last :meth:`evaluate`.
+        self.template: Optional[MagicTemplate] = None
 
-    def rewrite(self, query: Literal) -> MagicProgram:
+    def rewrite(
+        self, query: Literal, decided: Optional[Set[Predicate]] = None
+    ) -> MagicProgram:
+        """The magic rewrite for ``query``; ``decided`` as in
+        :func:`chain_split_hook`."""
         hook = (
-            chain_split_hook(self.cost_model)
+            chain_split_hook(self.cost_model, decided)
             if self.chain_split and self.cost_model is not None
             else None
         )
@@ -351,10 +443,36 @@ class MagicSetsEvaluator:
         scratch.relations = dict(self.database.relations)
         return scratch
 
+    def compile(self, query: Literal) -> MagicTemplate:
+        """The rewrite for ``query``'s predicate and adornment, compiled
+        for every query of that shape (:meth:`evaluate`'s ``template``)
+        while the split decisions' inputs stay as they are."""
+        decided: Set[Predicate] = set()
+        magic = self.rewrite(query, decided)
+        return MagicTemplate.compile(
+            magic, query,
+            SemiNaiveEvaluator(self.database, self.registry),
+            self.split_inputs(decided),
+        )
+
+    def split_inputs(
+        self, predicates: Iterable[Predicate]
+    ) -> Dict[Predicate, Optional[int]]:
+        """What Algorithm 3.1's decisions on ``predicates`` read of the
+        data now: the cost model's cardinality of each (None when it
+        has no statistics).  The expansion ratios it reads are cached
+        per relation, so equal inputs mean equal decisions."""
+        inputs: Dict[Predicate, Optional[int]] = {}
+        for predicate in predicates:
+            stats = self.cost_model.statistics.for_predicate(predicate)
+            inputs[predicate] = None if stats is None else stats.cardinality
+        return inputs
+
     def evaluate(
         self,
         query: Literal,
         stop_condition: Optional[Callable[[Relation], bool]] = None,
+        template: Optional[MagicTemplate] = None,
     ) -> Tuple[Relation, Counters, MagicProgram]:
         """Answers to ``query`` (as a relation over its arguments),
         the work counters, and the rewritten program for inspection.
@@ -364,12 +482,25 @@ class MagicSetsEvaluator:
         True aborts the semi-naive fixpoint mid-round (existence
         checking, §5).  The answers accumulated up to the abort are
         still returned.
+
+        ``template`` is what :meth:`compile` built for a query of the
+        same predicate and adornment (a plan keeps it): only the seed
+        is new.  Without one, or when the data its split decisions read
+        has changed since, the evaluation compiles its own.  Either way
+        it is left in :attr:`template`.
         """
         ctx = self.ctx
         rewrite_span = ctx.begin("plan", "magic_rewrite")
-        magic = self.rewrite(query)
+        if template is None or template.split_inputs != self.split_inputs(
+            template.split_inputs
+        ):
+            template = self.compile(query)
+        self.template = template
+        scratch = self._scratch(template.magic)
+        engine = SemiNaiveEvaluator(scratch, self.registry, ctx=ctx)
+        magic, strata = template.instantiate(query, engine)
+        scratch.program = magic.program
         ctx.end(rewrite_span, rules=len(magic.program))
-        scratch = self._scratch(magic)
         if ctx.recording:
             ctx.tracer.phase(
                 "magic_rewrite",
@@ -389,9 +520,7 @@ class MagicSetsEvaluator:
                 relation = derived.get(answer_predicate)
                 return relation is not None and stop_condition(relation)
 
-        result = SemiNaiveEvaluator(
-            scratch, self.registry, ctx=ctx
-        ).evaluate(magic.program, stop_condition=seminaive_stop)
+        result = engine.run(strata, stop_condition=seminaive_stop)
         answers_full = result.relation(
             magic.answer_predicate.name, magic.answer_predicate.arity
         )

@@ -36,11 +36,11 @@ from ..engine.builtins import BuiltinRegistry
 from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database
-from ..engine.joins import order_body
+from ..engine.joins import CompiledBody, compile_body
 from ..engine.relation import Relation
 from ..analysis.chains import CompiledRecursion
 from ..analysis.finiteness import PathSplit, split_path
-from .chain import ChainEvaluator
+from .chain import ChainEvaluator, ChainProgram
 from .pushing import (
     Accumulator,
     constraints_hold,
@@ -108,12 +108,8 @@ class PartialChainEvaluator(ChainEvaluator):
         self._injected_split = split
 
     # ------------------------------------------------------------------
-    def _run(self, query: Literal, counters: Counters) -> Relation:
-        ctx = self.ctx
-        setup_span = ctx.begin("stage", "descent_setup")
+    def _compile(self, query: Literal) -> "_PartialProgram":
         head_args = self.compiled.head_args
-        rec_args = self.compiled.rec_args
-
         bound_positions = {
             i for i, arg in enumerate(query.args) if is_ground(arg)
         }
@@ -132,17 +128,37 @@ class PartialChainEvaluator(ChainEvaluator):
                 f"delayed portion has non-accumulator literals ({residual}); "
                 "use buffered evaluation instead"
             )
-
         kinds = self._classify_positions(bound_positions, accumulators)
-        local_positions = [p for p, kind in enumerate(kinds) if kind == _LOCAL]
-        acc_by_position = {a.head_position: i for i, a in enumerate(accumulators)}
+        return _PartialProgram(
+            bound_positions=bound_positions,
+            entry_bound=entry_bound,
+            accumulators=accumulators,
+            kinds=kinds,
+            local_positions=[p for p, kind in enumerate(kinds) if kind == _LOCAL],
+            acc_by_position={
+                a.head_position: i for i, a in enumerate(accumulators)
+            },
+            evaluable_order=compile_body(
+                split.evaluable, self.registry, initially_bound=entry_bound
+            ),
+        )
+
+    def _run(self, query: Literal, counters: Counters) -> Relation:
+        ctx = self.ctx
+        setup_span = ctx.begin("stage", "descent_setup")
+        program = self._program(query)
+        head_args = self.compiled.head_args
+        rec_args = self.compiled.rec_args
+        bound_positions = program.bound_positions
+        accumulators = program.accumulators
+        kinds = program.kinds
+        local_positions = program.local_positions
+        acc_by_position = program.acc_by_position
+        # The pushed bounds are the query's own constants.
         pushed, residual_constraints = push_constraints(
             self.constraints, query, accumulators
         )
         pushed_at = [(accumulators.index(c.accumulator), c) for c in pushed]
-        evaluable_order = order_body(
-            split.evaluable, self.registry, initially_bound=entry_bound
-        )
         answers = Relation(query.name, query.arity)
 
         def emit(frame: _Frame, exit_row: Tuple[Term, ...]) -> None:
@@ -181,7 +197,7 @@ class PartialChainEvaluator(ChainEvaluator):
             spawned: List[_Frame] = []
             for frame in frontier:
                 # Each exit row is emitted as soon as it matches.
-                for exit_row in self.exit_rows(frame.call, counters):
+                for exit_row in self.exit_rows(program, frame.call, counters):
                     emit(frame, exit_row)
                 for solution in solve(dict(frame.call)):
                     new_acc: List[object] = []
@@ -229,8 +245,8 @@ class PartialChainEvaluator(ChainEvaluator):
 
         ctx.end(setup_span)
         self.descend(
-            "descent", evaluable_order, sorted(entry_bound), [start], expand,
-            counters,
+            "descent", program.evaluable_order, sorted(program.entry_bound),
+            [start], expand, counters,
         )
         return answers
 
@@ -257,3 +273,18 @@ class PartialChainEvaluator(ChainEvaluator):
             else:
                 kinds.append(_LOCAL)
         return kinds
+
+
+@dataclass(eq=False)
+class _PartialProgram(ChainProgram):
+    """Algorithm 3.3 compiled for one adornment: the accumulators the
+    delayed portion folds into, each head position's kind, and the
+    evaluable portion ordered for the descent."""
+
+    bound_positions: Set[int]
+    entry_bound: Set[str]
+    accumulators: List[Accumulator]
+    kinds: List[str]
+    local_positions: List[int]
+    acc_by_position: Dict[int, int]
+    evaluable_order: CompiledBody

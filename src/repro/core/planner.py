@@ -53,6 +53,7 @@ from ..analysis.cost import CostModel
 from ..analysis.depgraph import DependencyGraph
 from ..analysis.normalize import NormalizedProgram
 from .buffered import BufferedChainEvaluator
+from .chain import ChainEvaluator
 from .counting import CountingError, CountingEvaluator
 from .magic import MagicSetsEvaluator
 from .nested import NestedChainEvaluator, NestedEvaluationError
@@ -144,14 +145,28 @@ class QueryPlan:
     compiled: Optional[CompiledRecursion] = None
     split_decision: Optional[ChainSplitDecision] = None
     notes: List[str] = field(default_factory=list)
+    #: The compiled join program of each evaluator the plan has run —
+    #: a magic rewrite template, a chain program, the strata of a
+    #: semi-naive closure — keyed by strategy and built by the first
+    #: execution (:meth:`Planner.execute`); the plan's adornment is
+    #: fixed by its cache key.  Shared by every :meth:`rebind` copy.
+    artifacts: Dict[str, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: The IDB version :attr:`artifacts` were compiled against; a rule
+    #: change since clears them.
+    artifacts_version: Optional[int] = field(
+        default=None, repr=False, compare=False
+    )
 
     def rebind(self, query: Literal, constraints: List[Literal]) -> "QueryPlan":
         """This plan re-instantiated for a same-shaped query.
 
-        The strategy choice, compiled chain form and split decision
-        depend only on the plan-cache key (predicate, adornment,
-        constraint shape), so a cached plan serves any query sharing
-        the key once the literal and constraints are swapped in.
+        The strategy choice, compiled chain form, split decision and
+        compiled join programs depend only on the plan-cache key
+        (predicate, adornment, constraint shape), so a cached plan
+        serves any query sharing the key once the literal and
+        constraints are swapped in.
         """
         return QueryPlan(
             query,
@@ -161,6 +176,8 @@ class QueryPlan:
             self.compiled,
             self.split_decision,
             list(self.notes),
+            self.artifacts,
+            self.artifacts_version,
         )
 
     def explain(self) -> str:
@@ -324,8 +341,13 @@ class Planner:
     ) -> Tuple[Relation, Counters]:
         """Run a plan; answers as a relation over the query arguments.
 
-        ``ctx`` is handed to whichever evaluator the strategy runs."""
+        ``ctx`` is handed to whichever evaluator the strategy runs.  The
+        plan's compiled join programs are built on its first execution
+        and rebuilt after a rule change."""
         self.refresh()
+        if plan.artifacts_version != self._analysis_idb_version:
+            plan.artifacts.clear()
+            plan.artifacts_version = self._analysis_idb_version
         dispatch = {
             Strategy.SEMI_NAIVE: self._run_semi_naive,
             Strategy.MAGIC: self._run_magic,
@@ -508,18 +530,20 @@ class Planner:
         # Only the query's closure: the rules it depends on are a
         # splitting set, so their fixpoint is the whole program's on the
         # query predicate.  A stored relation evaluates nothing at all.
-        closure = self._normalized.graph.subprogram(plan.query.predicate)
-        result = SemiNaiveEvaluator(
-            self.database, self.registry, ctx=ctx
-        ).evaluate(closure)
+        evaluator = SemiNaiveEvaluator(self.database, self.registry, ctx=ctx)
+        strata = plan.artifacts.get(Strategy.SEMI_NAIVE)
+        if strata is None:
+            strata = plan.artifacts[Strategy.SEMI_NAIVE] = evaluator.compile(
+                self._normalized.graph.subprogram(plan.query.predicate)
+            )
+        result = evaluator.run(strata)
         return self._filter(plan.query, result.relations, ctx), result.counters
 
     def _run_magic(
         self, plan: QueryPlan, ctx: EvalContext
     ) -> Tuple[Relation, Counters]:
         evaluator = MagicSetsEvaluator(self.database, self.registry, ctx=ctx)
-        answers, counters, _ = evaluator.evaluate(plan.query)
-        return answers, counters
+        return self._magic(plan, evaluator, Strategy.MAGIC)
 
     def _run_magic_split(
         self, plan: QueryPlan, ctx: EvalContext
@@ -536,8 +560,28 @@ class Planner:
             supplementary=True,
             ctx=ctx,
         )
-        answers, counters, _ = evaluator.evaluate(plan.query)
+        return self._magic(plan, evaluator, Strategy.MAGIC_SPLIT)
+
+    def _magic(
+        self, plan: QueryPlan, evaluator: MagicSetsEvaluator, kind: str
+    ) -> Tuple[Relation, Counters]:
+        """Run ``evaluator`` on the plan's rewrite template; the first
+        run compiles it (and so does a run whose Algorithm 3.1 inputs
+        moved), the plan keeps it."""
+        answers, counters, _ = evaluator.evaluate(
+            plan.query, template=plan.artifacts.get(kind)
+        )
+        plan.artifacts[kind] = evaluator.template
         return answers, counters
+
+    def _chain(
+        self, plan: QueryPlan, evaluator: ChainEvaluator, kind: str
+    ) -> Tuple[Relation, Counters]:
+        """Run ``evaluator`` on the plan's chain program; the first run
+        compiles it, the plan keeps it."""
+        result = evaluator.evaluate(plan.query, plan.artifacts.get(kind))
+        plan.artifacts[kind] = evaluator.program
+        return result
 
     def _run_counting(
         self, plan: QueryPlan, ctx: EvalContext
@@ -550,7 +594,7 @@ class Planner:
                 max_depth=self.max_depth,
                 ctx=ctx,
             )
-            return evaluator.evaluate(plan.query)
+            return self._chain(plan, evaluator, Strategy.COUNTING)
         except CountingError:
             # Cyclic data or inapplicable shape: magic sets fallback.
             return self._run_magic(plan, ctx)
@@ -566,7 +610,7 @@ class Planner:
             max_depth=self.max_depth,
             ctx=ctx,
         )
-        return evaluator.evaluate(plan.query)
+        return self._chain(plan, evaluator, Strategy.BUFFERED)
 
     def _run_partial(
         self, plan: QueryPlan, ctx: EvalContext
@@ -581,7 +625,7 @@ class Planner:
                 max_depth=self.max_depth,
                 ctx=ctx,
             )
-            return evaluator.evaluate(plan.query)
+            return self._chain(plan, evaluator, Strategy.PARTIAL)
         except PartialEvaluationError:
             return self._run_buffered(plan, ctx)
 

@@ -8,6 +8,16 @@ literals the one with the most bound argument positions is probed first
 (a greedy bound-is-easier SIPS, the same one the adornment machinery
 assumes).
 
+Ordering and everything else that depends only on the body and on which
+variables the seed binds happens once, in :func:`compile_body`: each
+literal becomes a :class:`Stage` holding its index columns, constant
+key values, the variable slot of each free position and its
+repeated-variable checks, so a probe of a function-free stored literal
+builds its key and binds its row by position — no ``unify``, no
+``apply_substitution``, no ``is_ground`` on rows of constants.  Callers
+compile a body once per rule and binding pattern (a plan keeps it) and
+evaluate it many times.
+
 :func:`evaluate_body` is a *true generator pipeline*: solutions flow
 literal-to-literal through a backtracking stack of per-stage iterators,
 so at any moment at most one substitution per body literal is live —
@@ -43,7 +53,15 @@ from .context import DISABLED, EvalContext
 from .counters import Counters
 from .relation import Relation, RelationWindow, Row
 
-__all__ = ["UnsafeRuleError", "order_body", "literal_solutions", "evaluate_body"]
+__all__ = [
+    "CompiledBody",
+    "UnsafeRuleError",
+    "compile_body",
+    "compile_order",
+    "evaluate_body",
+    "literal_solutions",
+    "order_body",
+]
 
 #: Anything probe-able like a relation: a stored :class:`Relation` or a
 #: generation :class:`RelationWindow` over one (semi-naive's pre-round,
@@ -174,9 +192,158 @@ IdbSolver = Callable[[Literal, Substitution], Iterator[Substitution]]
 
 _EXHAUSTED = object()
 
+# Stage kinds: fixed at compile time, except that a positive literal
+# whose predicate has no relation at evaluation time is solved by the
+# ``idb_solver`` (an _IDB stage) instead of probed.
+_NEGATED, _BUILTIN, _STORED, _IDB = 0, 1, 2, 3
+
+
+def ground_value(value: object) -> bool:
+    """Is a substitution value a ground term as it stands?  A ``Var``,
+    a ``Struct`` holding one, or a missing binding (``None``) is not;
+    whether such a value becomes ground through the substitution's
+    other bindings is the unifier's question."""
+    return value.__class__ is Const or (
+        value.__class__ is Struct and is_ground(value)
+    )
+
+
+class Stage:
+    """One body literal compiled for the join.
+
+    A function-free literal (only variables and constants) is compiled
+    against the variables bound before it: ``columns`` are its index
+    columns (constant and bound positions, in position order), ``key``
+    the key template with the constants in place, ``key_vars`` the
+    ``(key slot, variable)`` pairs filled per probe, ``binds`` the
+    ``(position, variable)`` pairs a matching row binds, ``repeats``
+    the ``(position, earlier position)`` pairs a repeated free variable
+    must agree on, and ``free`` the free variables.  A probe whose
+    substitution does not fit that shape — a key variable bound to a
+    ``Var`` or a non-ground ``Struct``, or a free variable that is
+    bound after all — goes through the unifier, as does every probe of
+    a literal with a compound argument (``columns`` is ``None``).
+    """
+
+    __slots__ = (
+        "index", "literal", "kind", "solve",
+        "columns", "key", "key_vars", "binds", "repeats", "free",
+    )
+
+    def __init__(
+        self, index: int, literal: Literal, registry: BuiltinRegistry,
+        bound: Set[str],
+    ):
+        self.index = index
+        self.literal = literal
+        self.solve = None
+        self.columns: Optional[Tuple[int, ...]] = None
+        builtin = None if literal.negated else registry.get(literal.predicate)
+        if builtin is not None:
+            self.kind = _BUILTIN
+            self.solve = builtin.solve
+            return
+        self.kind = _NEGATED if literal.negated else _STORED
+        if not all(isinstance(a, (Var, Const)) for a in literal.args):
+            return
+        columns: List[int] = []
+        key: List[Optional[Term]] = []
+        key_vars: List[Tuple[int, str]] = []
+        binds: List[Tuple[int, str]] = []
+        repeats: List[Tuple[int, int]] = []
+        first: Dict[str, int] = {}
+        for position, arg in enumerate(literal.args):
+            if isinstance(arg, Const):
+                columns.append(position)
+                key.append(arg)
+            elif arg.name in bound or literal.negated:
+                # A negated literal is a membership test: every
+                # argument is part of the probed row.
+                columns.append(position)
+                key_vars.append((len(key), arg.name))
+                key.append(None)
+            elif arg.name in first:
+                repeats.append((position, first[arg.name]))
+            else:
+                first[arg.name] = position
+                binds.append((position, arg.name))
+        self.columns = tuple(columns)
+        self.key = key
+        self.key_vars = tuple(key_vars)
+        self.binds = tuple(binds)
+        self.repeats = tuple(repeats)
+        self.free = tuple(first)
+
+    def bind_key(self, subst: Substitution) -> Optional[List[Term]]:
+        """The index key under ``subst``, or ``None`` when the probe
+        does not fit the compiled shape and needs the unifier."""
+        if self.columns is None:
+            return None
+        key = self.key.copy()
+        for slot, name in self.key_vars:
+            value = subst.get(name)
+            if not ground_value(value):
+                return None
+            key[slot] = value
+        for name in self.free:
+            if name in subst:
+                return None
+        return key
+
+
+class CompiledBody:
+    """A body ordered once and compiled into join stages.
+
+    Iterates as the ``(original_index, literal)`` pairs of its order,
+    so it stands wherever an :func:`order_body` result is read (the
+    tracer's stage profile, for one)."""
+
+    __slots__ = ("order", "stages")
+
+    def __init__(self, order: Sequence[Tuple[int, Literal]], stages: Sequence[Stage]):
+        self.order = list(order)
+        self.stages = list(stages)
+
+    def __iter__(self) -> Iterator[Tuple[int, Literal]]:
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, position: int) -> Tuple[int, Literal]:
+        return self.order[position]
+
+
+def compile_order(
+    ordered_body: Iterable[Tuple[int, Literal]],
+    registry: BuiltinRegistry,
+    initially_bound: Iterable[str] = (),
+) -> CompiledBody:
+    """Compile an already ordered body (``(original_index, literal)``
+    pairs) whose seed binds ``initially_bound``."""
+    bound: Set[str] = set(initially_bound)
+    order = list(ordered_body)
+    stages = []
+    for index, literal in order:
+        stages.append(Stage(index, literal, registry, bound))
+        bound.update(v.name for v in literal.variables())
+    return CompiledBody(order, stages)
+
+
+def compile_body(
+    body: Sequence[Literal],
+    registry: BuiltinRegistry,
+    initially_bound: Iterable[str] = (),
+) -> CompiledBody:
+    """Order ``body`` (:func:`order_body`) and compile its join stages
+    for seeds that bind ``initially_bound``.  Done once per rule and
+    binding pattern; every evaluation then only resolves relations."""
+    bound = set(initially_bound)
+    return compile_order(order_body(body, registry, bound), registry, bound)
+
 
 def evaluate_body(
-    ordered_body: Sequence[Tuple[int, Literal]],
+    body: CompiledBody,
     lookup: RelationLookup,
     registry: BuiltinRegistry,
     seed: Substitution,
@@ -186,7 +353,9 @@ def evaluate_body(
     stage_counts: Optional[List[int]] = None,
     ctx: EvalContext = DISABLED,
 ) -> Iterator[Substitution]:
-    """Evaluate an ordered body, lazily yielding complete solutions.
+    """Evaluate a compiled body, lazily yielding complete solutions.
+
+    ``body`` is a :class:`CompiledBody` (:func:`compile_body`).
 
     Solutions stream through the literals one at a time: stage *i*
     holds a single current substitution and an iterator of its
@@ -206,7 +375,7 @@ def evaluate_body(
     evaluation of inner recursions in this way (paper §4.1).
 
     ``stage_counts`` — when the tracer is on, a list of at least
-    ``len(ordered_body)`` ints; slot *k* is incremented once per
+    ``len(body)`` ints; slot *k* is incremented once per
     substitution stage *k* yields.  Since stage *k*'s input stream is
     exactly stage *k-1*'s output stream (the seed for *k = 0*), these
     counts alone determine every stage's observed expansion ratio.
@@ -218,85 +387,82 @@ def evaluate_body(
     substitutions trips the budget mid-join even if no new head tuple
     is ever derived.
     """
-
-    depth = len(ordered_body)
+    depth = len(body.stages)
     if depth == 0:
         yield seed
         return
 
-    # Pre-resolve each stage once per body evaluation: the relation a
-    # literal probes (override window or lookup result) is fixed for
-    # the whole evaluation, so none of that dispatch runs per tuple.
-    _NEGATED, _BUILTIN, _STORED, _IDB = 0, 1, 2, 3
-    stages: List[Tuple[int, Literal, object]] = []
-    for original_index, literal in ordered_body:
-        if literal.negated:
-            kind = _NEGATED
-            payload = _resolve(literal, lookup, overrides, original_index)
-        elif registry.is_builtin(literal):
-            kind = _BUILTIN
-            payload = None
-        else:
-            payload = _resolve(literal, lookup, overrides, original_index)
-            kind = _IDB if payload is None else _STORED
-        stages.append((kind, literal, payload))
+    # Resolve each stage's relation once per body evaluation: the
+    # relation a literal probes (override window or lookup result) is
+    # fixed for the whole evaluation; everything else about the stage
+    # was fixed at compile time.
+    stages: List[Tuple[int, Stage, Optional[RelationLike]]] = []
+    for stage in body.stages:
+        kind = stage.kind
+        relation = None
+        if kind != _BUILTIN:
+            relation = _resolve(stage.literal, lookup, overrides, stage.index)
+            if relation is None and kind == _STORED:
+                kind = _IDB
+        stages.append((kind, stage, relation))
 
-    def stage_solutions(stage: int, subst: Substitution) -> Iterator[Substitution]:
-        kind, literal, relation = stages[stage]
+    def stage_solutions(position: int, subst: Substitution) -> Iterator[Substitution]:
+        kind, stage, relation = stages[position]
         if kind == _STORED:
-            # Inlined literal_solutions: index probe on the positions
-            # ground under ``subst``, then unification of the rest —
-            # without a second generator layer per substitution.
-            instantiated = [
-                apply_substitution(arg, subst) for arg in literal.args
-            ]
-            key_columns: List[int] = []
-            key_values: List[Term] = []
-            free_positions: List[int] = []
-            for position, arg in enumerate(instantiated):
-                if is_ground(arg):
-                    key_columns.append(position)
-                    key_values.append(arg)
-                else:
-                    free_positions.append(position)
-            if counters is not None:
-                counters.join_probes += 1
-            for row in relation.lookup(key_columns, key_values):
-                result: Optional[Substitution] = subst
-                for position in free_positions:
-                    result = unify(instantiated[position], row[position], result)
-                    if result is None:
-                        break
-                if result is not None:
+            key = stage.bind_key(subst)
+            if key is None:
+                for result in literal_solutions(
+                    stage.literal, relation, subst, counters
+                ):
                     if counters is not None:
                         counters.intermediate_tuples += 1
                     yield result
+                return
+            if counters is not None:
+                counters.join_probes += 1
+            binds, repeats = stage.binds, stage.repeats
+            for row in relation.lookup(stage.columns, key):
+                if repeats and any(row[p] != row[q] for p, q in repeats):
+                    continue
+                if binds:
+                    result = dict(subst)
+                    for column, name in binds:
+                        result[name] = row[column]
+                else:
+                    result = subst
+                if counters is not None:
+                    counters.intermediate_tuples += 1
+                yield result
         elif kind == _BUILTIN:
             if counters is not None:
                 counters.builtin_evals += 1
-            for solution in registry.solve(literal, subst):
+            for solution in stage.solve(stage.literal.args, subst):
                 if counters is not None:
                     counters.intermediate_tuples += 1
                 yield solution
         elif kind == _NEGATED:
-            ground_args = tuple(apply_substitution(a, subst) for a in literal.args)
-            if any(not is_ground(a) for a in ground_args):
-                raise UnsafeRuleError(
-                    f"negated literal {literal} not ground at evaluation time"
-                )
+            key = stage.bind_key(subst)
+            if key is None:
+                key = [apply_substitution(a, subst) for a in stage.literal.args]
+                if not all(is_ground(a) for a in key):
+                    raise UnsafeRuleError(
+                        f"negated literal {stage.literal} not ground at "
+                        "evaluation time"
+                    )
             if counters is not None:
                 counters.join_probes += 1
-            if relation is None or ground_args not in relation:
+            if relation is None or tuple(key) not in relation:
                 if counters is not None:
                     counters.intermediate_tuples += 1
                 yield subst
         else:  # _IDB: no stored relation — delegate or fail the stage
             if idb_solver is None:
                 return
-            for solution in idb_solver(literal, subst):
+            for solution in idb_solver(stage.literal, subst):
                 if counters is not None:
                     counters.intermediate_tuples += 1
                 yield solution
+
     # Backtracking stack of per-stage iterators; stack[i] enumerates the
     # extensions of the stage-(i-1) substitution through literal i.
     stack: List[Iterator[Substitution]] = [stage_solutions(0, seed)]

@@ -36,24 +36,36 @@ program is stratifiable (checked by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..analysis.depgraph import DependencyGraph
-from ..datalog.literals import Literal, Predicate
+from ..datalog.literals import Predicate
 from ..datalog.rules import Program, Rule
-from ..datalog.terms import Term, is_ground
+from ..datalog.terms import Const, Term, Var, is_ground
 from ..datalog.unify import Substitution, apply_substitution
 from .builtins import BuiltinRegistry, default_registry
 from .context import DISABLED, EvalContext
 from .counters import Counters
 from .database import Database
-from .joins import RelationLike, UnsafeRuleError, evaluate_body, order_body
+from .joins import (
+    CompiledBody,
+    RelationLike,
+    UnsafeRuleError,
+    compile_body,
+    compile_order,
+    evaluate_body,
+    ground_value,
+    order_body,
+)
 from .relation import Relation, Row
 
 __all__ = [
     "SemiNaiveEvaluator",
     "NaiveEvaluator",
     "EvaluationResult",
+    "CompiledHead",
+    "Stratum",
+    "Variant",
     "head_row",
 ]
 
@@ -95,7 +107,7 @@ class EvaluationResult:
 
 def _delta_first_order(
     rule: Rule, slot: int, registry: BuiltinRegistry
-) -> List[Tuple[int, Literal]]:
+) -> CompiledBody:
     """A safe body order for the semi-naive variant whose delta sits at
     body position ``slot``: the delta literal leads (the delta window
     is the smallest relation in the join), and the remaining literals
@@ -107,9 +119,11 @@ def _delta_first_order(
         registry,
         initially_bound={v.name for v in delta_literal.variables()},
     )
-    return [(slot, delta_literal)] + [
-        (rest[position][0], literal) for position, literal in ordered_rest
-    ]
+    return compile_order(
+        [(slot, delta_literal)]
+        + [(rest[position][0], literal) for position, literal in ordered_rest],
+        registry,
+    )
 
 
 def head_row(rule: Rule, subst: Substitution) -> Tuple[Term, ...]:
@@ -127,6 +141,77 @@ def head_row(rule: Rule, subst: Substitution) -> Tuple[Term, ...]:
                 f"head of {rule} not ground after body evaluation"
             )
     return row
+
+
+class CompiledHead:
+    """A rule head compiled for row building.
+
+    A function-free head builds its row slot by slot: a constant, or
+    the ground value its variable is bound to.  Any other case — a
+    compound argument, a variable bound to a ``Var`` or a non-ground
+    ``Struct``, an unbound variable — goes through :func:`head_row`,
+    which resolves the bindings and raises :class:`UnsafeRuleError`
+    when the row is not ground."""
+
+    __slots__ = ("rule", "slots")
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        args = rule.head.args
+        self.slots: Optional[Tuple[Tuple[Optional[str], Optional[Term]], ...]] = (
+            tuple(
+                (arg.name, None) if isinstance(arg, Var) else (None, arg)
+                for arg in args
+            )
+            if all(isinstance(arg, (Var, Const)) for arg in args)
+            else None
+        )
+
+    def row(self, subst: Substitution) -> Tuple[Term, ...]:
+        if self.slots is None:
+            return head_row(self.rule, subst)
+        row = []
+        for name, const in self.slots:
+            if name is None:
+                row.append(const)
+                continue
+            value = subst.get(name)
+            if not ground_value(value):
+                return head_row(self.rule, subst)
+            row.append(value)
+        return tuple(row)
+
+
+class Variant(NamedTuple):
+    """One rule as :meth:`SemiNaiveEvaluator.fixpoint` runs it."""
+
+    rule: Rule
+    head: CompiledHead
+    #: The full body, compiled; exit rules only (``None`` otherwise).
+    body: Optional[CompiledBody]
+    #: Positive body positions on a tracked predicate, as
+    #: ``(position, predicate)``.
+    slots: List[Tuple[int, Predicate]]
+    #: Per slot: the body compiled to probe that slot's delta first.
+    orders: List[CompiledBody]
+
+
+class Stratum:
+    """One stratum of a compiled program: its predicates, its rules
+    and — once a run has reached the stratum — their :class:`Variant` s,
+    which every later run reuses."""
+
+    __slots__ = ("predicates", "rules", "variants")
+
+    def __init__(
+        self,
+        predicates: Set[Predicate],
+        rules: List[Rule],
+        variants: Optional[List[Variant]] = None,
+    ):
+        self.predicates = predicates
+        self.rules = rules
+        self.variants = variants
 
 
 class _BottomUpEvaluator:
@@ -167,6 +252,16 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         rows = result.relation("sg", 2).rows()
     """
 
+    def compile(self, program: Program) -> List[Stratum]:
+        """``program`` split into its strata, bottom-up.  Each stratum's
+        rules are compiled into variants when a run first reaches it;
+        a caller that runs one program many times (a plan) keeps the
+        strata and hands them to :meth:`run`."""
+        return [
+            Stratum(stratum, [r for r in program if r.head.predicate in stratum])
+            for stratum in DependencyGraph(program, self.registry).strata()
+        ]
+
     def evaluate(
         self,
         program: Optional[Program] = None,
@@ -189,14 +284,22 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         incremental view maintenance reads its support counts off it.
         """
         program = program if program is not None else self.database.program
+        return self.run(self.compile(program), stop_condition, on_derive)
+
+    def run(
+        self,
+        strata: Sequence[Stratum],
+        stop_condition=None,
+        on_derive: Optional[Callable[[Predicate, Row], None]] = None,
+    ) -> EvaluationResult:
+        """:meth:`evaluate` the program ``strata`` were compiled from."""
         counters = Counters()
         derived: Dict[Predicate, Relation] = {}
         run_span = self.ctx.begin("evaluate", "semi_naive")
         try:
-            for stratum in DependencyGraph(program, self.registry).strata():
+            for stratum in strata:
                 stopped = self._evaluate_stratum(
-                    program, stratum, derived, counters, stop_condition,
-                    on_derive,
+                    stratum, derived, counters, stop_condition, on_derive
                 )
                 if stopped:
                     break
@@ -212,30 +315,31 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
 
     def _evaluate_stratum(
         self,
-        program: Program,
-        stratum: Set[Predicate],
+        stratum: Stratum,
         derived: Dict[Predicate, Relation],
         counters: Counters,
         stop_condition=None,
         on_derive=None,
     ) -> bool:
         ctx = self.ctx
-        # Rule ordering + EDB seeding is real per-stratum work;
-        # attribute it instead of leaving it as container self time.
+        # Compiling the rules (on a stratum's first run) and EDB
+        # seeding is real per-stratum work; attribute it instead of
+        # leaving it as container self time.
         setup_span = ctx.begin("stage", "stratum_setup")
-        rules = [r for r in program if r.head.predicate in stratum]
-        for predicate in stratum:
+        if stratum.variants is None:
+            stratum.variants = self.variants(stratum.rules, stratum.predicates)
+        predicates = stratum.predicates
+        for predicate in predicates:
             derived.setdefault(predicate, Relation(predicate.name, predicate.arity))
-        plan = self.variants(rules, stratum)
         # Stored EDB facts for a predicate that also has rules would be
         # shadowed by the derived relation; seed them explicitly.  They
         # form the initial delta.
-        for predicate in stratum:
+        for predicate in predicates:
             stored = self.database.get(predicate)
             if stored is not None:
                 for row in stored:
                     derived[predicate].add(row)
-        ctx.end(setup_span, rules=len(rules))
+        ctx.end(setup_span, rules=len(stratum.rules))
 
         def derive(predicate: Predicate, row: Row) -> bool:
             if on_derive is not None:
@@ -248,38 +352,40 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
             return False
 
         return self.fixpoint(
-            plan,
-            {p: (derived[p], 0) for p in stratum},
+            stratum.variants,
+            {p: (derived[p], 0) for p in predicates},
             self._make_lookup(derived),
             counters,
             derive,
         )
 
-    def variants(self, rules: Sequence[Rule], tracked) -> list:
-        """The per-rule plan :meth:`fixpoint` runs, computed once per
-        call site rather than per round: each entry is ``(rule,
-        full-body order, tracked slots, variant orders)``, where the
-        tracked slots are the positive body positions on a ``tracked``
-        predicate, as ``(position, predicate)``, and each slot's
-        variant probes its delta first and reorders the rest of the
-        body around the variables it binds."""
+    def variants(self, rules: Sequence[Rule], tracked) -> List[Variant]:
+        """The per-rule plan :meth:`fixpoint` runs, compiled once per
+        call site rather than per round: one :class:`Variant` per rule,
+        whose tracked slots are the positive body positions on a
+        ``tracked`` predicate and whose per-slot orders probe that
+        slot's delta first and reorder the rest of the body around the
+        variables it binds.  A rule without a tracked slot is an exit
+        rule and keeps its full body order instead."""
         plan = []
         for rule in rules:
-            body = order_body(rule.body, self.registry)
             slots = [
                 (i, lit.predicate)
                 for i, lit in enumerate(rule.body)
                 if lit.predicate in tracked and not lit.negated
             ]
-            orders = [
-                _delta_first_order(rule, slot, self.registry) for slot, _ in slots
-            ]
-            plan.append((rule, body, slots, orders))
+            plan.append(Variant(
+                rule,
+                CompiledHead(rule),
+                None if slots else compile_body(rule.body, self.registry),
+                slots,
+                [_delta_first_order(rule, slot, self.registry) for slot, _ in slots],
+            ))
         return plan
 
     def fixpoint(
         self,
-        plan: list,
+        plan: Sequence[Variant],
         logs: Dict[Predicate, Tuple[Relation, int]],
         lookup,
         counters: Counters,
@@ -328,13 +434,14 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
                     reads[p] = (delta, log.window(0, lo[p]), log.window(0, hi[p]))
                 else:
                     reads[p] = (delta, *views(p, delta))
-            for rule, body, slots, orders in plan:
+            for variant in plan:
+                slots = variant.slots
                 if not slots:
                     # Exit rule: no tracked body occurrence — its
                     # support cannot grow during the run, so one pass
                     # (the first round) saturates it.
                     if first_round and self._apply_rule(
-                        rule, body, lookup, None, derive, counters
+                        variant, variant.body, lookup, None, derive, counters
                     ):
                         return True
                     continue
@@ -348,8 +455,8 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
                     for later, p in slots[j + 1 :]:
                         overrides[later] = reads[p][2]
                     if self._apply_rule(
-                        rule, orders[j], lookup, overrides, derive, counters,
-                        slot=slot,
+                        variant, variant.orders[j], lookup, overrides, derive,
+                        counters, slot=slot,
                     ):
                         return True
             first_round = False
@@ -373,8 +480,8 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
 
     def _apply_rule(
         self,
-        rule: Rule,
-        ordered_body,
+        variant: Variant,
+        ordered_body: CompiledBody,
         lookup,
         overrides,
         derive: Derive,
@@ -383,7 +490,9 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
     ) -> bool:
         """Run one rule variant, handing each head row to ``derive``;
         True = stop."""
+        rule = variant.rule
         predicate = rule.head.predicate
+        head = variant.head
         ctx = self.ctx
         recording = ctx.recording
         if recording:
@@ -398,7 +507,7 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
             ordered_body, lookup, self.registry, {}, counters,
             overrides=overrides, stage_counts=stage_counts, ctx=ctx,
         ):
-            if derive(predicate, self._head_row(rule, subst)):
+            if derive(predicate, head.row(subst)):
                 stopped = True
                 break
         if recording:
@@ -449,9 +558,7 @@ class NaiveEvaluator(_BottomUpEvaluator):
             if stored is not None:
                 derived[predicate].add_all(stored.rows())
         lookup = self._make_lookup(derived)
-        ordered_bodies = {
-            id(rule): order_body(rule.body, self.registry) for rule in rules
-        }
+        compiled = [(rule, compile_body(rule.body, self.registry)) for rule in rules]
         ctx = self.ctx
         changed = True
         while changed:
@@ -462,10 +569,9 @@ class NaiveEvaluator(_BottomUpEvaluator):
                 )
             ctx.check_round(counters.iterations, counters)
             changed = False
-            for rule in rules:
+            for rule, body in compiled:
                 for subst in evaluate_body(
-                    ordered_bodies[id(rule)], lookup, self.registry, {},
-                    counters, ctx=ctx,
+                    body, lookup, self.registry, {}, counters, ctx=ctx,
                 ):
                     row = self._head_row(rule, subst)
                     if derived[rule.head.predicate].add(row):

@@ -49,7 +49,7 @@ from ..datalog.unify import unify_sequences
 from ..engine.context import DISABLED, EvalContext
 from ..engine.counters import Counters
 from ..engine.database import Database, MutationBatch, RelationDelta
-from ..engine.joins import evaluate_body, order_body
+from ..engine.joins import CompiledBody, compile_body, evaluate_body
 from ..engine.relation import OverlayRelation, Relation, Row
 from ..engine.seminaive import SemiNaiveEvaluator
 
@@ -113,10 +113,13 @@ class Materialization:
         self._plan = [
             entry
             for entry in self._engine.variants(self.rules, self.closure)
-            if entry[2]
+            if entry.slots
         ]
         self._changes: Changes = {}
         self._run_rederived = 0
+        # Per derived predicate, its rules with each body compiled for
+        # a seed that binds the head: what rederivation probes.
+        self._derivations: Dict[Predicate, List[Tuple[Rule, CompiledBody]]] = {}
 
     # ------------------------------------------------------------------
     # Full (re)computation
@@ -423,22 +426,26 @@ class Materialization:
         )
 
     def _has_derivation(self, predicate: Predicate, row: Row) -> bool:
-        for rule in self.graph.rules_for(predicate):
+        derivations = self._derivations.get(predicate)
+        if derivations is None:
+            derivations = self._derivations[predicate] = [
+                (
+                    rule,
+                    compile_body(
+                        rule.body,
+                        self.registry,
+                        initially_bound={v.name for v in rule.head.variables()},
+                    ),
+                )
+                for rule in self.graph.rules_for(predicate)
+            ]
+        for rule, body in derivations:
             theta = unify_sequences(rule.head.args, row)
             if theta is None:
                 continue
-            order = order_body(
-                rule.body,
-                self.registry,
-                initially_bound={v.name for v in rule.head.variables()},
-            )
             if (
                 next(
-                    iter(
-                        evaluate_body(
-                            order, self._lookup, self.registry, theta
-                        )
-                    ),
+                    iter(evaluate_body(body, self._lookup, self.registry, theta)),
                     None,
                 )
                 is not None

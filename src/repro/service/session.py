@@ -722,14 +722,22 @@ class QuerySession:
             )
 
     def hit_ready(self, query_source: str) -> bool:
-        """Would :meth:`cached_answer` hit without parsing or
-        reconciling?  The event loop's probe; lock held by the caller."""
+        """Would :meth:`cached_answer` hit without parsing?  The event
+        loop's probe; lock held by the caller.  A fact write since the
+        last reconciliation is reconciled here first when that is cheap
+        (a session without views only keeps or evicts entries), so an
+        answer whose closure the write missed stays servable on the
+        loop thread.  A rule change or a view repair is left to the
+        dispatch thread."""
         memo = self._parse_cache.get(query_source)
-        return (
-            memo is not None
-            and self.database.version == self._seen_version
-            and memo[2] in self._result_cache
-        )
+        if memo is None:
+            return False
+        version = self.database.version
+        if version != self._seen_version:
+            if version[1] != self._seen_version[1] or self.views is not None:
+                return False
+            self._sync()
+        return memo[2] in self._result_cache
 
     def adopt(self, query_source, payload: Dict[str, Any]) -> None:
         """Cache a worker-evaluated QUERY payload, unless the database

@@ -8,23 +8,27 @@ differential oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .analysis.chains import classify_recursion
 from .datalog.literals import Literal, Predicate
 from .datalog.parser import parse_query
+from .engine.builtins import BuiltinError, BuiltinRegistry
+from .engine.counters import Counters
 from .engine.database import Database
-from .engine.joins import evaluate_body, order_body
+from .engine.joins import UnsafeRuleError, compile_body, evaluate_body
 from .engine.relation import Relation
 from .engine.seminaive import SemiNaiveEvaluator, head_row
 from .engine.topdown import TopDownEvaluator
-from .datalog.unify import apply_substitution, unify_sequences
+from .datalog.unify import Substitution, apply_substitution, unify_sequences
 from .datalog.terms import Var, is_ground
 
 __all__ = [
     "answers_via_seminaive",
     "answers_via_topdown",
     "assert_cache_coherent",
+    "assert_join_matches",
     "assert_slices_agree",
     "assert_strategies_agree",
     "assert_views_match_fixpoint",
@@ -146,7 +150,7 @@ def assert_views_match_fixpoint(manager, database: Database) -> None:
         for rule in fix.rules:
             tally = recount[rule.head.predicate]
             for subst in evaluate_body(
-                order_body(rule.body, fix.registry), lookup, fix.registry, {}
+                compile_body(rule.body, fix.registry), lookup, fix.registry, {}
             ):
                 row = head_row(rule, subst)
                 tally[row] = tally.get(row, 0) + 1
@@ -176,6 +180,79 @@ def assert_cache_coherent(
         )
         results[query] = warm
     return results
+
+
+#: The join work a compiled body and its reference must agree on.
+JOIN_COUNTERS = (
+    "join_probes", "intermediate_tuples", "builtin_evals", "peak_intermediate",
+)
+
+#: ``reference(order, lookup, registry, seed)`` — an independent join
+#: over an ordered body, as ``(solutions, counters, stage_counts)``.
+ReferenceJoin = Callable[..., Tuple[List[Substitution], Counters, List[int]]]
+
+
+def assert_join_matches(
+    body: Sequence[Literal],
+    lookup,
+    registry: BuiltinRegistry,
+    seed: Substitution,
+    reference: ReferenceJoin,
+    initially_bound: Iterable[str] = (),
+) -> List[Substitution]:
+    """The ``compiled == reference`` join lane: ``body`` compiled for
+    ``initially_bound`` (:func:`~repro.engine.joins.compile_body`) and
+    evaluated from ``seed`` — which may bind more, fewer or other
+    variables, to any terms — yields the solutions ``reference`` finds
+    over the same order, with the same :data:`JOIN_COUNTERS` and
+    per-stage output counts.  ``lookup`` maps a predicate to what its
+    literals read: a relation, or a generation window of one.
+    Solutions are compared as a multiset of the seed's and the body's
+    variables, each resolved through the solution.  When either side
+    rejects the body at run time (a non-ground negation or builtin
+    argument), the other must raise the same exception type.  Returns
+    the compiled side's solutions."""
+    compiled = compile_body(body, registry, initially_bound)
+    counters = Counters()
+    stage_counts = [0] * len(compiled)
+    outcome = {}
+    for side, run in (
+        ("compiled", lambda: list(evaluate_body(
+            compiled, lookup, registry, seed, counters,
+            stage_counts=stage_counts,
+        ))),
+        ("reference", lambda: reference(compiled.order, lookup, registry, seed)),
+    ):
+        try:
+            outcome[side] = run()
+        except (UnsafeRuleError, BuiltinError) as exc:
+            outcome[side] = type(exc)
+    got, expected = outcome["compiled"], outcome["reference"]
+    if isinstance(got, type) or isinstance(expected, type):
+        assert got == expected, f"compiled {got!r} != reference {expected!r}"
+        return []
+    solutions, reference_counters, reference_counts = expected
+    names = sorted(
+        set(seed) | {v.name for literal in body for v in literal.variables()}
+    )
+
+    def resolved(substitutions):
+        return Counter(
+            tuple(str(apply_substitution(Var(name), s)) for name in names)
+            for s in substitutions
+        )
+
+    assert resolved(got) == resolved(solutions), (
+        f"solutions differ: {resolved(got) - resolved(solutions)} vs "
+        f"{resolved(solutions) - resolved(got)}"
+    )
+    for name in JOIN_COUNTERS:
+        assert getattr(counters, name) == getattr(reference_counters, name), (
+            f"{name}: compiled {getattr(counters, name)} != reference "
+            f"{getattr(reference_counters, name)}"
+        )
+    assert stage_counts == reference_counts, (stage_counts, reference_counts)
+    return got
 
 
 def _query(query_source) -> Literal:

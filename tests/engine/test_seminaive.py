@@ -11,7 +11,7 @@ from repro.datalog.terms import Const, Var
 from repro.engine.builtins import default_registry
 from repro.engine.counters import Counters
 from repro.engine.database import Database
-from repro.engine.joins import UnsafeRuleError, order_body
+from repro.engine.joins import UnsafeRuleError, compile_body, order_body
 from repro.engine.relation import Relation
 from repro.engine.seminaive import NaiveEvaluator, SemiNaiveEvaluator
 
@@ -311,7 +311,7 @@ class TestStreamingPipeline:
                 db.add_fact("r", (i, j))
                 db.add_fact("s", (i, j))
         rule = parse_program("p(X, W) :- r(X, Y), s(Z, W).").rules[0]
-        ordered = order_body(rule.body, registry)
+        ordered = compile_body(rule.body, registry)
         counters = Counters()
         for _ in evaluate_body(ordered, db.get, registry, {}, counters):
             pass
@@ -328,7 +328,7 @@ class TestStreamingPipeline:
             db.add_fact("r", (i,))
             db.add_fact("s", (i,))
         rule = parse_program("p(X, Y) :- r(X), s(Y).").rules[0]
-        ordered = order_body(rule.body, registry)
+        ordered = compile_body(rule.body, registry)
         counters = Counters()
         stream = evaluate_body(ordered, db.get, registry, {}, counters)
         next(stream)

@@ -180,6 +180,77 @@ class TestInlineHits:
         assert evicted["count"] == 3
 
     @pytest.mark.parametrize("workers", MODES)
+    def test_hit_after_a_fact_outside_the_closure_stays_on_the_loop(
+        self, connect, monkeypatch, workers
+    ):
+        """The first cached QUERY after a write its closure never reads
+        is answered on the loop thread, not parked on a dispatch
+        thread until something else reconciles the caches."""
+        db = Database()
+        db.load_source(
+            "anc(X, Y) :- par(X, Y).\n"
+            "anc(X, Y) :- par(X, Z), anc(Z, Y).\n"
+            "par(a, b). par(b, c). e(p, q).\n"
+        )
+        server, client = connect(QuerySession(db), workers=workers)
+        assert client.request("QUERY anc(a, Y)")["count"] == 2
+        assert client.request("FACT e(q, r).")["added"]
+        inline = []
+        answer_inline = server._answer_inline
+        monkeypatch.setattr(
+            server, "_answer_inline",
+            lambda *args: inline.append(answer_inline(*args)) or inline[-1],
+        )
+        kept = client.request("QUERY anc(a, Y)")
+        assert kept["result_cached"] and kept["count"] == 2
+        assert inline == [True]
+
+    @pytest.mark.parametrize(
+        "write, ivm",
+        [("FACT f(X) :- e(X, Y).", False), ("FACT e(q, r).", True)],
+        ids=["rule", "ivm-fact"],
+    )
+    @pytest.mark.parametrize("workers", MODES)
+    def test_costly_reconciliation_stays_off_the_loop(
+        self, connect, monkeypatch, workers, write, ivm
+    ):
+        """A rule change (re-normalizing the planner, re-pinning views)
+        or a write to an IVM session (repairing entries) is reconciled
+        on a dispatch thread, never by the loop's hit probe."""
+        db = Database()
+        db.load_source(
+            "anc(X, Y) :- par(X, Y).\n"
+            "anc(X, Y) :- par(X, Z), anc(Z, Y).\n"
+            "par(a, b). par(b, c). e(p, q).\n"
+        )
+        session = QuerySession(db, ivm=ivm)
+        server, client = connect(session, workers=workers)
+        assert client.request("QUERY anc(a, Y)")["count"] == 2
+        assert client.request(write)["added"]
+        on_loop = []
+        syncs_on_loop = []
+        answer_inline = server._answer_inline
+        sync = session._sync
+
+        def inline(*args):
+            on_loop.append(True)
+            try:
+                return answer_inline(*args)
+            finally:
+                on_loop.pop()
+
+        def recording_sync():
+            if db.version != session._seen_version:
+                syncs_on_loop.append(bool(on_loop))
+            sync()
+
+        monkeypatch.setattr(server, "_answer_inline", inline)
+        monkeypatch.setattr(session, "_sync", recording_sync)
+        answer = client.request("QUERY anc(a, Y)")
+        assert answer["count"] == 2
+        assert syncs_on_loop == [False]
+
+    @pytest.mark.parametrize("workers", MODES)
     def test_reqlog_record_of_an_inline_hit(self, connect, workers):
         server, client = connect(_session(), workers=workers)
         client.request(HIT)
